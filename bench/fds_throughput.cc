@@ -151,6 +151,8 @@ int main(int argc, char** argv) {
   w.field("reference",
           "retained from-scratch scheduler (core/fds_reference.cc)");
   w.field("kernel", "incremental FDS kernel (core/fds_kernel.h)");
+  w.field("hardware_threads", ThreadPool::hardware_threads());
+  w.field("build_type", NANOMAP_BUILD_TYPE);
   w.key("rows");
   w.begin_array();
   bool all_identical = true;

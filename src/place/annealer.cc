@@ -8,76 +8,59 @@
 
 namespace nanomap {
 
-Annealer::Annealer(const ClusteredDesign& cd, const Placement& initial,
-                   double timing_weight, Rng* rng, ThreadPool* pool,
-                   const PlaceLegality* legal)
-    : cd_(cd), placement_(initial), timing_weight_(timing_weight),
-      rng_(rng), legal_(legal) {
+Annealer::Annealer(const PinSets& sets, const Placement& initial, Rng* rng,
+                   ThreadPool* pool, const PlaceLegality* legal)
+    : sets_(sets), placement_(initial), rng_(rng), legal_(legal) {
   NM_CHECK(rng != nullptr);
   smb_at_site_.assign(static_cast<std::size_t>(placement_.grid.sites()), -1);
-  for (int m = 0; m < cd.num_smbs; ++m) {
+  for (int m = 0; m < sets.num_smbs; ++m) {
     int site = placement_.site_of_smb[static_cast<std::size_t>(m)];
     NM_CHECK_MSG(smb_at_site_[static_cast<std::size_t>(site)] == -1,
                  "two SMBs on site " << site);
     smb_at_site_[static_cast<std::size_t>(site)] = m;
   }
-  // Incident lists, ascending by net index. All pins of net i append
-  // consecutively, so duplicates (driver+sink in one SMB, repeated sink
-  // pins) collapse into one entry with a pin count — the entry dedup is
-  // what keeps a net from being double-counted in the move-cost sums.
-  nets_of_.assign(static_cast<std::size_t>(cd.num_smbs), {});
-  auto add_pin = [&](int smb, int net) {
-    std::vector<IncidentNet>& list = nets_of_[static_cast<std::size_t>(smb)];
-    if (!list.empty() && list.back().net == net)
-      ++list.back().pins;
-    else
-      list.push_back({net, 1});
-  };
-  net_weight_.reserve(cd.nets.size());
-  for (std::size_t i = 0; i < cd.nets.size(); ++i) {
-    const PlacedNet& pn = cd.nets[i];
-    net_weight_.push_back(1.0 + timing_weight * pn.criticality);
-    add_pin(pn.driver_smb, static_cast<int>(i));
-    for (int s : pn.sink_smbs) add_pin(s, static_cast<int>(i));
-  }
+  // Incident lists, ascending by set index.
+  sets_of_.assign(static_cast<std::size_t>(sets.num_smbs), {});
+  for (int s = 0; s < sets.size(); ++s)
+    for (int m : sets.smbs(s))
+      sets_of_[static_cast<std::size_t>(m)].push_back(s);
   // Sentinel entry terminating every list: the swap-move merge in
   // try_move runs branch-light off it (no per-step bounds checks).
-  for (std::vector<IncidentNet>& list : nets_of_)
-    list.push_back({std::numeric_limits<int>::max(), 0});
+  for (std::vector<int>& list : sets_of_)
+    list.push_back(std::numeric_limits<int>::max());
 
-  boxes_.init(cd_, placement_, pool);
-  // Reduce in net order: bit-identical to the historical serial per-net
-  // recompute loop at any thread count.
+  boxes_.init(sets_, placement_, pool);
+  // Reduce in set order: bit-identical to pin_set_cost() at any thread
+  // count.
   cost_ = 0.0;
-  cost_of_.reserve(cd_.nets.size());
-  for (std::size_t i = 0; i < cd_.nets.size(); ++i) {
-    cost_of_.push_back(cached_net_cost(static_cast<int>(i)));
+  cost_of_.reserve(static_cast<std::size_t>(sets_.size()));
+  for (int s = 0; s < sets_.size(); ++s) {
+    cost_of_.push_back(cached_set_cost(s));
     cost_ += cost_of_.back();
   }
 
   // Move-loop scratch: a move touches at most the union of two incident
   // lists, so this sizing makes try_move allocation-free.
   std::size_t max_incident = 0;
-  for (const std::vector<IncidentNet>& list : nets_of_)
+  for (const std::vector<int>& list : sets_of_)
     max_incident = std::max(max_incident, list.size());
-  touched_nets_.resize(2 * max_incident);
+  touched_sets_.resize(2 * max_incident);
   touched_boxes_.resize(2 * max_incident);
   touched_costs_.resize(2 * max_incident);
-  net_stamp_.assign(cd_.nets.size(), 0);
+  set_stamp_.assign(static_cast<std::size_t>(sets_.size()), 0);
 }
 
 double Annealer::cost() const {
   double c = 0.0;
-  for (std::size_t i = 0; i < cd_.nets.size(); ++i)
-    c += cached_net_cost(static_cast<int>(i));
+  for (int s = 0; s < sets_.size(); ++s) c += cached_set_cost(s);
   return c;
 }
 
 bool Annealer::try_move(double t, int rlim) {
   ++moves_attempted_;
-  if (cd_.num_smbs == 0) return false;
+  if (sets_.num_smbs == 0) return false;
   int smb = static_cast<int>(rng_->next_below(
-      static_cast<std::uint64_t>(cd_.num_smbs)));
+      static_cast<std::uint64_t>(sets_.num_smbs)));
   int from = placement_.site_of_smb[static_cast<std::size_t>(smb)];
   int fx = boxes_.x_of(smb);  // mirror of from % width / from / width
   int fy = boxes_.y_of(smb);
@@ -115,59 +98,54 @@ bool Annealer::try_move(double t, int rlim) {
     boxes_.set_smb_xy(other, fx, fy);
   }
 
-  // Single pass over the affected nets in ascending net order — for a
+  // Single pass over the affected sets in ascending set order — for a
   // swap, a two-way merge of the two sentinel-terminated sorted incident
   // lists, written so the take-left/take-right selection compiles to
-  // conditional moves instead of an unpredictable branch ladder. Per net:
+  // conditional moves instead of an unpredictable branch ladder. Per set:
   // fold its pre-move cost into `before`, dry-run the box update on a
   // scratch copy in touched_, fold the post-move cost into `after`. The
   // cached boxes themselves are untouched until the move is accepted, so
-  // rejection needs no box rollback at all. The ascending order keeps
-  // both sums in the exact floating-point order of the historical
-  // sort+unique evaluation, so delta — and every accept/reject decision —
-  // is bit-identical to the seed annealer.
+  // rejection needs no box rollback at all.
   double before = 0.0;
   double after = 0.0;
-  auto process = [&](int net, int fwd_pins, int rev_pins) {
-    std::size_t n = static_cast<std::size_t>(net);
+  auto process = [&](int set, bool fwd, bool rev) {
+    std::size_t n = static_cast<std::size_t>(set);
 #ifdef NANOMAP_AUDIT_COST
-    // The merge (and the deduped incident lists) guarantee each net is
-    // visited at most once per move; the generation stamp only verifies
-    // that invariant in audit builds — release pays nothing for it.
-    NM_CHECK_MSG(net_stamp_[n] != move_gen_,
-                 "net " << net << " visited twice in one move");
-    net_stamp_[n] = move_gen_;
+    // The merge (and the duplicate-free incident lists) guarantee each
+    // set is visited at most once per move; the generation stamp only
+    // verifies that invariant in audit builds — release pays nothing.
+    NM_CHECK_MSG(set_stamp_[n] != move_gen_,
+                 "set " << set << " visited twice in one move");
+    set_stamp_[n] = move_gen_;
 #endif
     int k = n_touched_++;
-    touched_nets_[static_cast<std::size_t>(k)] = net;
+    touched_sets_[static_cast<std::size_t>(k)] = set;
     NetBox& nb = touched_boxes_[static_cast<std::size_t>(k)];
-    nb = boxes_.box(net);
+    nb = boxes_.box(set);
     before += cost_of_[n];
-    boxes_.update_box(&nb, net, fx, fy, tx, ty, fwd_pins, rev_pins);
-    double nc = net_weight_[n] * static_cast<double>(nb.hpwl());
+    boxes_.update_box(&nb, set, fx, fy, tx, ty, fwd, rev);
+    double nc = sets_.weight[n] * static_cast<double>(nb.hpwl());
     touched_costs_[static_cast<std::size_t>(k)] = nc;
     after += nc;
   };
-  const std::vector<IncidentNet>& mine =
-      nets_of_[static_cast<std::size_t>(smb)];
+  const std::vector<int>& mine = sets_of_[static_cast<std::size_t>(smb)];
   if (other >= 0) {
-    const std::vector<IncidentNet>& theirs =
-        nets_of_[static_cast<std::size_t>(other)];
+    const std::vector<int>& theirs =
+        sets_of_[static_cast<std::size_t>(other)];
     std::size_t i = 0, j = 0;
     const std::size_t last = mine.size() + theirs.size() - 2;
     while (i + j < last) {
-      int a = mine[i].net;
-      int b = theirs[j].net;
+      int a = mine[i];
+      int b = theirs[j];
       bool take_a = a <= b;
-      bool take_b = b <= a;  // both when the net touches both SMBs
-      process(take_a ? a : b, take_a ? mine[i].pins : 0,
-              take_b ? theirs[j].pins : 0);
+      bool take_b = b <= a;  // both when the set holds both SMBs
+      process(take_a ? a : b, take_a, take_b);
       i += static_cast<std::size_t>(take_a);
       j += static_cast<std::size_t>(take_b);
     }
   } else {
     for (std::size_t k = 0; k + 1 < mine.size(); ++k)
-      process(mine[k].net, mine[k].pins, 0);
+      process(mine[k], true, false);
   }
 
   double delta = after - before;
@@ -176,8 +154,8 @@ bool Annealer::try_move(double t, int rlim) {
     // Commit the dry-run boxes and their cached cost products.
     for (int k = 0; k < n_touched_; ++k) {
       std::size_t kk = static_cast<std::size_t>(k);
-      boxes_.store(touched_nets_[kk], touched_boxes_[kk]);
-      cost_of_[static_cast<std::size_t>(touched_nets_[kk])] =
+      boxes_.store(touched_sets_[kk], touched_boxes_[kk]);
+      cost_of_[static_cast<std::size_t>(touched_sets_[kk])] =
           touched_costs_[kk];
     }
     cost_ += delta;
@@ -202,22 +180,22 @@ bool Annealer::try_move(double t, int rlim) {
 
 #ifdef NANOMAP_AUDIT_COST
 // Full-recompute cross-check of the incremental state. Box equality and
-// the cost()-vs-placement_cost comparison are bit-exact by construction;
+// the cost()-vs-pin_set_cost comparison are bit-exact by construction;
 // only the *running* accumulated cost is allowed rounding drift.
 void Annealer::audit_cost() const {
-  for (int m = 0; m < cd_.num_smbs; ++m) {
+  for (int m = 0; m < sets_.num_smbs; ++m) {
     NM_CHECK_MSG(boxes_.x_of(m) == placement_.x_of(m) &&
                      boxes_.y_of(m) == placement_.y_of(m),
                  "audit: stale coordinate mirror for smb " << m);
   }
-  for (int n = 0; n < boxes_.size(); ++n) {
-    NM_CHECK_MSG(boxes_.box(n) == boxes_.compute_box(n),
-                 "audit: stale incremental bbox for net " << n);
-    NM_CHECK_MSG(cost_of_[static_cast<std::size_t>(n)] ==
-                     cached_net_cost(n),
-                 "audit: stale cached cost product for net " << n);
+  for (int s = 0; s < boxes_.size(); ++s) {
+    NM_CHECK_MSG(boxes_.box(s) == boxes_.compute_box(s),
+                 "audit: stale incremental bbox for set " << s);
+    NM_CHECK_MSG(cost_of_[static_cast<std::size_t>(s)] ==
+                     cached_set_cost(s),
+                 "audit: stale cached cost product for set " << s);
   }
-  double scratch = placement_cost(cd_, placement_, timing_weight_);
+  double scratch = pin_set_cost(sets_, placement_);
   double exact = cost();
   NM_CHECK_MSG(exact == scratch, "audit: incremental cost "
                                      << exact << " != recomputed cost "
@@ -230,9 +208,9 @@ void Annealer::audit_cost() const {
 #endif
 
 void Annealer::run(double effort) {
-  if (cd_.num_smbs <= 1 || cd_.nets.empty()) return;
+  if (sets_.num_smbs <= 1 || sets_.num_nets == 0) return;
 
-  const int n = cd_.num_smbs;
+  const int n = sets_.num_smbs;
   const long moves_per_t = std::max<long>(
       16, static_cast<long>(effort * std::pow(static_cast<double>(n),
                                               4.0 / 3.0)));
@@ -240,7 +218,6 @@ void Annealer::run(double effort) {
   // Initial temperature: 20 x std-dev of random move deltas (VPR).
   double sum = 0.0, sum2 = 0.0;
   const int samples = std::min(128, 8 * n);
-  double cost_before = cost_;
   for (int i = 0; i < samples; ++i) {
     double c0 = cost_;
     try_move(1e18, placement_.grid.width);  // accept everything
@@ -251,14 +228,15 @@ void Annealer::run(double effort) {
   double mean = sum / samples;
   double var = std::max(0.0, sum2 / samples - mean * mean);
   double t = 20.0 * std::sqrt(var) + 1e-6;
-  (void)cost_before;
 #ifdef NANOMAP_AUDIT_COST
   audit_cost();
 #endif
 
   int rlim = std::max(1, placement_.grid.width);
+  // Scaled per real net, not per set: the collapse leaves the schedule
+  // as it was.
   const double exit_t =
-      0.005 * std::max(1.0, cost_) / static_cast<double>(cd_.nets.size());
+      0.005 * std::max(1.0, cost_) / static_cast<double>(sets_.num_nets);
 
   while (t > exit_t) {
     long accepted = 0;

@@ -34,19 +34,19 @@ void add_pin(NetBox& b, int x, int y) {
 
 }  // namespace
 
-void NetBoxCache::init(const ClusteredDesign& cd, const Placement& placement,
+void NetBoxCache::init(const PinSets& sets, const Placement& placement,
                        ThreadPool* pool) {
-  cd_ = &cd;
+  sets_ = &sets;
   // Flatten the site->coordinate divisions once; rescans then run on pure
   // array reads, which is what keeps the shrink-edge fallback cheap.
-  xs_.resize(static_cast<std::size_t>(cd.num_smbs));
-  ys_.resize(static_cast<std::size_t>(cd.num_smbs));
-  for (int m = 0; m < cd.num_smbs; ++m) {
+  xs_.resize(static_cast<std::size_t>(sets.num_smbs));
+  ys_.resize(static_cast<std::size_t>(sets.num_smbs));
+  for (int m = 0; m < sets.num_smbs; ++m) {
     xs_[static_cast<std::size_t>(m)] = placement.x_of(m);
     ys_[static_cast<std::size_t>(m)] = placement.y_of(m);
   }
-  boxes_.assign(cd.nets.size(), NetBox{});
-  pool_for_each(pool, static_cast<int>(cd.nets.size()), [&](int i) {
+  boxes_.assign(static_cast<std::size_t>(sets.size()), NetBox{});
+  pool_for_each(pool, sets.size(), [&](int i) {
     boxes_[static_cast<std::size_t>(i)] = compute_box(i);
   });
 }
@@ -73,35 +73,35 @@ struct AxisScan {
 
 }  // namespace
 
-void NetBoxCache::rescan_x(int net, NetBox* b) const {
-  const PlacedNet& pn = cd_->nets[static_cast<std::size_t>(net)];
-  AxisScan scan(xs_[static_cast<std::size_t>(pn.driver_smb)]);
-  for (int s : pn.sink_smbs) scan.add(xs_[static_cast<std::size_t>(s)]);
+void NetBoxCache::rescan_x(int set, NetBox* b) const {
+  std::span<const int> smbs = sets_->smbs(set);
+  AxisScan scan(xs_[static_cast<std::size_t>(smbs[0])]);
+  for (int m : smbs.subspan(1)) scan.add(xs_[static_cast<std::size_t>(m)]);
   b->xmin = scan.mn;
   b->xmax = scan.mx;
   b->on_xmin = scan.n_mn;
   b->on_xmax = scan.n_mx;
 }
 
-void NetBoxCache::rescan_y(int net, NetBox* b) const {
-  const PlacedNet& pn = cd_->nets[static_cast<std::size_t>(net)];
-  AxisScan scan(ys_[static_cast<std::size_t>(pn.driver_smb)]);
-  for (int s : pn.sink_smbs) scan.add(ys_[static_cast<std::size_t>(s)]);
+void NetBoxCache::rescan_y(int set, NetBox* b) const {
+  std::span<const int> smbs = sets_->smbs(set);
+  AxisScan scan(ys_[static_cast<std::size_t>(smbs[0])]);
+  for (int m : smbs.subspan(1)) scan.add(ys_[static_cast<std::size_t>(m)]);
   b->ymin = scan.mn;
   b->ymax = scan.mx;
   b->on_ymin = scan.n_mn;
   b->on_ymax = scan.n_mx;
 }
 
-NetBox NetBoxCache::compute_box(int net) const {
-  const PlacedNet& pn = cd_->nets[static_cast<std::size_t>(net)];
+NetBox NetBoxCache::compute_box(int set) const {
+  std::span<const int> smbs = sets_->smbs(set);
   NetBox b;
-  b.xmin = b.xmax = xs_[static_cast<std::size_t>(pn.driver_smb)];
-  b.ymin = b.ymax = ys_[static_cast<std::size_t>(pn.driver_smb)];
+  b.xmin = b.xmax = xs_[static_cast<std::size_t>(smbs[0])];
+  b.ymin = b.ymax = ys_[static_cast<std::size_t>(smbs[0])];
   b.on_xmin = b.on_xmax = b.on_ymin = b.on_ymax = 1;
-  for (int s : pn.sink_smbs)
-    add_pin(b, xs_[static_cast<std::size_t>(s)],
-            ys_[static_cast<std::size_t>(s)]);
+  for (int m : smbs.subspan(1))
+    add_pin(b, xs_[static_cast<std::size_t>(m)],
+            ys_[static_cast<std::size_t>(m)]);
   return b;
 }
 

@@ -1,33 +1,39 @@
-// Incremental per-net bounding boxes for the temporal-placement annealer.
+// Incremental per-pin-set bounding boxes for the temporal-placement
+// annealer.
 //
-// The SA objective sums, per net, the half-perimeter of the bounding box
-// of its pins (driver SMB + sink SMBs). Recomputing a box from scratch is
-// O(fanout); with high-fanout nets that scan dominates the move loop. This
-// kernel caches every net's box augmented with VPR-style boundary
-// occupancy counts — how many of the net's pins sit exactly on each of the
-// four box edges — so moving one pin updates the box in O(1): a growing
-// edge just moves to the pin's new coordinate, a pin landing on an edge
-// increments its count, and a pin leaving an edge decrements it. Only when
-// the moved pin was the *last* pin on a shrinking edge is the new edge
-// position unknown, and a full O(fanout) rescan of that net runs.
+// The SA objective sums, per pin set (pin_sets.h: the distinct SMB sets of
+// the design's nets, weighted), the half-perimeter of the bounding box of
+// its SMBs. Recomputing a box from scratch is O(set size); with large sets
+// that scan dominates the move loop. This kernel caches every set's box
+// augmented with VPR-style boundary occupancy counts — how many of the
+// set's SMBs sit exactly on each of the four box edges — so moving one SMB
+// updates the box in O(1): a growing edge just moves to the SMB's new
+// coordinate, an SMB landing on an edge increments its count, and an SMB
+// leaving an edge decrements it. Only when the moved SMB was the *last*
+// one on a shrinking edge is the new edge position unknown, and an O(set
+// size) rescan of that axis runs.
+//
+// An SMB appears at most once per set, so a move shifts at most one pin of
+// a set; a swap of two SMBs of the same set only exchanges their
+// coordinates and leaves the box and its counts as they were.
 //
 // The boxes are pure integer state (min/max coordinates + counts), so the
 // incrementally maintained box is exactly — not approximately — the box a
 // from-scratch scan would produce, and any cost derived from it is
-// bit-identical to a recompute. That is what lets the annealer adopt this
-// kernel without changing a single accept/reject decision.
+// bit-identical to a recompute of the pin-set objective.
 //
 // Rollback protocol: the cache never snapshots anything itself. A caller
-// evaluating a speculative move copies the NetBox of every affected net,
+// evaluating a speculative move copies the NetBox of every affected set,
 // dry-runs the update on the copies (update_box), and commits them with
 // store() only if the move is accepted — a rejected move never writes the
 // cache. See Annealer::try_move.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "core/temporal_cluster.h"
+#include "place/pin_sets.h"
 #include "util/thread_pool.h"
 
 #if defined(__SSE2__) || defined(_M_X64)
@@ -39,10 +45,10 @@ namespace nanomap {
 
 struct Placement;
 
-// Bounding box of one net's pins plus edge-occupancy counts. A pin whose
-// coordinate equals an edge counts toward that edge; with a degenerate box
-// (xmin == xmax) every pin counts on both x edges, which keeps the update
-// rules uniform. The field order — four edges then four counts — is
+// Bounding box of one pin set's SMBs plus edge-occupancy counts. An SMB
+// whose coordinate equals an edge counts toward that edge; with a
+// degenerate box (xmin == xmax) every SMB counts on both x edges, which
+// keeps the update rules uniform. The field order — four edges then four counts — is
 // load-bearing: the SSE2 update treats the struct as two 128-bit vectors,
 // [xmin,xmax,ymin,ymax] and their counts.
 struct NetBox {
@@ -50,7 +56,7 @@ struct NetBox {
   std::int32_t xmax = 0;
   std::int32_t ymin = 0;
   std::int32_t ymax = 0;
-  std::int32_t on_xmin = 0;  // pins with x == xmin
+  std::int32_t on_xmin = 0;  // SMBs with x == xmin
   std::int32_t on_xmax = 0;
   std::int32_t on_ymin = 0;
   std::int32_t on_ymax = 0;
@@ -67,18 +73,18 @@ struct NetBox {
 
 class NetBoxCache {
  public:
-  // Builds the box of every net of `cd` (which must outlive the cache) at
-  // `placement`. SMB coordinates are copied into flat per-SMB arrays — a
-  // rescan never needs the site->x,y divisions — so after init the cache
+  // Builds the box of every set of `sets` (which must outlive the cache)
+  // at `placement`. SMB coordinates are copied into flat per-SMB arrays —
+  // a rescan never needs the site->x,y divisions — so after init the cache
   // no longer reads the placement: the caller reports coordinate changes
-  // through set_smb_xy. Per-net boxes may be computed on `pool`
+  // through set_smb_xy. Per-set boxes may be computed on `pool`
   // (independent writes to distinct slots).
-  void init(const ClusteredDesign& cd, const Placement& placement,
+  void init(const PinSets& sets, const Placement& placement,
             ThreadPool* pool = nullptr);
 
   int size() const { return static_cast<int>(boxes_.size()); }
-  const NetBox& box(int net) const {
-    return boxes_[static_cast<std::size_t>(net)];
+  const NetBox& box(int set) const {
+    return boxes_[static_cast<std::size_t>(set)];
   }
 
   int x_of(int smb) const { return xs_[static_cast<std::size_t>(smb)]; }
@@ -91,100 +97,79 @@ class NetBoxCache {
     ys_[static_cast<std::size_t>(smb)] = y;
   }
 
-  // Accounts for `pins` pins of `net` having moved from (x_old, y_old) to
+  // Accounts for the SMB of `set` at (x_old, y_old) having moved to
   // (x_new, y_new), updating the cached box in place. Call AFTER
   // set_smb_xy for the moved SMB: a shrink-edge rescan reads the
-  // coordinate mirror and must see the pins at their new coordinates.
-  // O(1) per pin except the rescan case.
-  void move_pins(int net, int x_old, int y_old, int x_new, int y_new,
-                 int pins) {
-    update_box(&boxes_[static_cast<std::size_t>(net)], net, x_old, y_old,
-               x_new, y_new, pins, 0);
+  // coordinate mirror and must see the SMB at its new coordinates.
+  void move_pin(int set, int x_old, int y_old, int x_new, int y_new) {
+    update_box(&boxes_[static_cast<std::size_t>(set)], set, x_old, y_old,
+               x_new, y_new, true, false);
   }
 
-  // Two-site swap update applied to a caller-owned copy of `net`'s box:
-  // `fwd` pins moved (fx,fy)->(tx,ty) and `rev` pins moved the other way.
-  // Writing into `b` instead of the cache is what makes speculative move
-  // evaluation cheap — the annealer dry-runs every move on scratch copies
-  // and only store()s them back on accept, so a rejected move never
-  // touches the cached boxes at all.
-  //
-  // The two axes are fully independent, so each is updated on its own:
-  // all fwd then rev pin moves applied O(1), and if any of them empties a
-  // shrinking edge, a single-axis rescan rebuilds just that axis. The
-  // scan reads the coordinate mirror, which already has every pin at its
-  // final site, so one scan finishes the axis no matter how many pin
-  // applications were pending — which also makes the update single-pass
-  // when the net touches both swapped SMBs. Requires set_smb_xy applied
+  // Two-site swap update applied to a caller-owned copy of `set`'s box:
+  // `fwd` says the set holds the SMB that moved (fx,fy)->(tx,ty), `rev`
+  // that it holds the SMB that moved the other way. Writing into `b`
+  // instead of the cache is what makes speculative move evaluation cheap
+  // — the annealer dry-runs every move on scratch copies and only
+  // store()s them back on accept, so a rejected move never touches the
+  // cached boxes at all. When both flags are set the two SMBs traded
+  // coordinates and the box is unchanged. Requires set_smb_xy applied
   // for BOTH SMBs beforehand. Inline: this sits in the annealer's
   // innermost loop; only the rescan fallbacks are out-of-line calls.
-  void update_box(NetBox* b, int net, int fx, int fy, int tx, int ty,
-                  int fwd, int rev) const {
+  void update_box(NetBox* b, int set, int fx, int fy, int tx, int ty,
+                  bool fwd, bool rev) const {
+    if (fwd == rev) return;
+    if (rev) {
+      std::swap(fx, tx);
+      std::swap(fy, ty);
+    }
 #ifdef NANOMAP_BBOX_SSE2
-    // Single-pin moves — the overwhelming majority — take the vector
-    // path: both axes, all four edges and counts, in one branch-free
-    // shot. A nonzero mask means some lane needed a shrink-edge rescan
-    // and nothing was stored: rescan the bailing axis (or axes) directly,
+    // Both axes, all four edges and counts, in one branch-free shot. A
+    // nonzero mask means some lane needed a shrink-edge rescan and
+    // nothing was stored: rescan the bailing axis (or axes) directly,
     // then re-run the vector update with that axis neutralized (old ==
     // new makes its lanes a no-op) so the surviving axis still gets its
     // O(1) update. The re-run cannot bail — its only live axis already
     // passed the bail test on identical inputs.
-    if (fwd == 1 && rev == 0) {
-      unsigned bail = move_pin_sse2(b, fx, fy, tx, ty);
-      if (bail == 0) return;
-      if ((bail & 0x00FFu) != 0) {
-        rescan_x(net, b);
-        fx = tx;
-      }
-      if ((bail & 0xFF00u) != 0) {
-        rescan_y(net, b);
-        fy = ty;
-      }
-      if (fx != tx || fy != ty) move_pin_sse2(b, fx, fy, tx, ty);
-      return;
+    unsigned bail = move_pin_sse2(b, fx, fy, tx, ty);
+    if (bail == 0) return;
+    if ((bail & 0x00FFu) != 0) {
+      rescan_x(set, b);
+      fx = tx;
     }
+    if ((bail & 0xFF00u) != 0) {
+      rescan_y(set, b);
+      fy = ty;
+    }
+    if (fx != tx || fy != ty) move_pin_sse2(b, fx, fy, tx, ty);
+#else
+    if (!move_axis(fx, tx, &b->xmin, &b->on_xmin, &b->xmax, &b->on_xmax))
+      rescan_x(set, b);
+    if (!move_axis(fy, ty, &b->ymin, &b->on_ymin, &b->ymax, &b->on_ymax))
+      rescan_y(set, b);
 #endif
-    if (fx != tx) {
-      bool ok = true;
-      for (int i = 0; ok && i < fwd; ++i)
-        ok = move_axis(fx, tx, &b->xmin, &b->on_xmin, &b->xmax,
-                       &b->on_xmax);
-      for (int i = 0; ok && i < rev; ++i)
-        ok = move_axis(tx, fx, &b->xmin, &b->on_xmin, &b->xmax,
-                       &b->on_xmax);
-      if (!ok) rescan_x(net, b);
-    }
-    if (fy != ty) {
-      bool ok = true;
-      for (int i = 0; ok && i < fwd; ++i)
-        ok = move_axis(fy, ty, &b->ymin, &b->on_ymin, &b->ymax,
-                       &b->on_ymax);
-      for (int i = 0; ok && i < rev; ++i)
-        ok = move_axis(ty, fy, &b->ymin, &b->on_ymin, &b->ymax,
-                       &b->on_ymax);
-      if (!ok) rescan_y(net, b);
-    }
   }
 
-  // From-scratch box of `net` at the mirrored coordinates (rescan
+  // From-scratch box of `set` at the mirrored coordinates (rescan
   // fallback; also the audit oracle for the incremental state).
-  NetBox compute_box(int net) const;
+  NetBox compute_box(int set) const;
 
-  // Writes a box into the cache slot of `net` — either committing a
+  // Writes a box into the cache slot of `set` — either committing a
   // dry-run update (move acceptance) or putting a saved snapshot back.
-  void store(int net, const NetBox& b) {
-    boxes_[static_cast<std::size_t>(net)] = b;
+  void store(int set, const NetBox& b) {
+    boxes_[static_cast<std::size_t>(set)] = b;
   }
 
  private:
-  // One-axis update for a pin moving from `old_c` to `new_c` within the
-  // edge pair [*lo, *hi] and its counts. Returns false when the pin was
-  // the sole occupant of a shrinking edge (new edge unknown → rescan).
-  // Written so that everything except the rarely-taken rescan bail
-  // compiles to conditional moves: the edge-coincidence comparisons are
+#ifndef NANOMAP_BBOX_SSE2
+  // One-axis update for an SMB moving from `old_c` to `new_c` within the
+  // edge pair [*lo, *hi] and its counts (a no-op when old_c == new_c).
+  // Returns false, with nothing written, when the SMB was the sole
+  // occupant of a shrinking edge (new edge unknown → rescan). Written so
+  // that everything except the rarely-taken rescan bail compiles to
+  // conditional moves: the edge-coincidence comparisons are
   // data-dependent and would otherwise mispredict constantly in the move
-  // loop. The direction branch itself is move-invariant (every pin of a
-  // move shifts the same way), so the predictor absorbs it.
+  // loop.
   static bool move_axis(int old_c, int new_c, std::int32_t* lo,
                         std::int32_t* n_lo, std::int32_t* hi,
                         std::int32_t* n_hi) {
@@ -207,14 +192,13 @@ class NetBoxCache {
     }
     return true;
   }
-
-#ifdef NANOMAP_BBOX_SSE2
-  // One pin of `b` moved (fx,fy)->(tx,ty), both axes at once. NetBox is
+#else
+  // One SMB of `b` moved (fx,fy)->(tx,ty), both axes at once. NetBox is
   // laid out as four edges then four counts, so the two 128-bit vectors
   // are [xmin,xmax,ymin,ymax] and their counts; all the edge-coincidence
   // comparisons that mispredict in scalar code become lane masks. An
   // unchanged axis degrades to a lane-wise no-op (its away/grow/arrive
-  // masks all come out false), exactly mirroring move_axis. Returns the
+  // masks all come out false). Returns the
   // bail byte-mask — nonzero (with the box completely untouched) when
   // some lane would empty a shrinking edge: bits 0-7 flag the x axis,
   // bits 8-15 the y axis, and the caller must rescan those.
@@ -231,7 +215,7 @@ class NetBoxCache {
     const __m128i ones = _mm_set1_epi32(1);
     __m128i gt = _mm_cmpgt_epi32(newv, oldv);  // new > old
     __m128i lt = _mm_cmpgt_epi32(oldv, newv);  // new < old
-    // Pin moving away from its edge: off a min edge when growing the
+    // SMB moving away from its edge: off a min edge when growing the
     // coordinate, off a max edge when shrinking it.
     __m128i away = _mm_or_si128(_mm_and_si128(lo_lane, gt),
                                 _mm_andnot_si128(lo_lane, lt));
@@ -239,7 +223,7 @@ class NetBoxCache {
     __m128i bail = _mm_and_si128(leaving, _mm_cmpeq_epi32(c, ones));
     unsigned bail_mask = static_cast<unsigned>(_mm_movemask_epi8(bail));
     if (bail_mask != 0) return bail_mask;
-    // Pin pushing an edge outward / landing exactly on one.
+    // SMB pushing an edge outward / landing exactly on one.
     __m128i below = _mm_cmpgt_epi32(e, newv);  // new < edge
     __m128i above = _mm_cmpgt_epi32(newv, e);  // new > edge
     __m128i grow = _mm_or_si128(_mm_and_si128(lo_lane, below),
@@ -261,10 +245,10 @@ class NetBoxCache {
 
   // Single-axis from-scratch rebuilds (shrink-edge rescan fallbacks);
   // deliberately out of line — they are the cold path.
-  void rescan_x(int net, NetBox* b) const;
-  void rescan_y(int net, NetBox* b) const;
+  void rescan_x(int set, NetBox* b) const;
+  void rescan_y(int set, NetBox* b) const;
 
-  const ClusteredDesign* cd_ = nullptr;
+  const PinSets* sets_ = nullptr;
   std::vector<NetBox> boxes_;
   std::vector<std::int32_t> xs_;  // smb -> x (mirror of the placement)
   std::vector<std::int32_t> ys_;  // smb -> y

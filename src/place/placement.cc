@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "place/annealer.h"
+#include "place/pin_sets.h"
 #include "util/fault.h"
 #include "util/log.h"
 #include "util/trace.h"
@@ -95,9 +96,10 @@ double net_bbox_cost(const ClusteredDesign& cd, const Placement& placement,
 }
 
 // One full two-step placement with a single RNG stream (the historical
-// place_design body). `pool` only accelerates whole-placement cost
-// evaluations; it never feeds randomness.
-PlacementResult place_single(const ClusteredDesign& cd,
+// place_design body). Every anneal pass works on `sets`, the pin-set view
+// of cd.nets. `pool` only accelerates whole-placement cost evaluations;
+// it never feeds randomness.
+PlacementResult place_single(const ClusteredDesign& cd, const PinSets& sets,
                              const ArchParams& arch,
                              const PlacementOptions& options,
                              ThreadPool* pool, const PlaceLegality* legal) {
@@ -107,8 +109,7 @@ PlacementResult place_single(const ClusteredDesign& cd,
   if (cd.num_smbs == 0) return result;
 
   // Step 1: fast low-precision placement.
-  Annealer fast(cd, result.placement, options.timing_weight, &rng, pool,
-                legal);
+  Annealer fast(sets, result.placement, &rng, pool, legal);
   fast.run(options.fast_effort);
   result.placement = fast.placement();
   result.moves_attempted = fast.moves_attempted();
@@ -121,8 +122,7 @@ PlacementResult place_single(const ClusteredDesign& cd,
              options.routable_threshold &&
          attempts < options.max_refine_attempts) {
     ++attempts;
-    Annealer refine(cd, result.placement, options.timing_weight, &rng, pool,
-                    legal);
+    Annealer refine(sets, result.placement, &rng, pool, legal);
     refine.run(options.fast_effort * 2.0);
     result.placement = refine.placement();
     result.moves_attempted += refine.moves_attempted();
@@ -137,8 +137,7 @@ PlacementResult place_single(const ClusteredDesign& cd,
   // the flow (the router is the authoritative congestion check), so the
   // detailed anneal runs either way — it usually improves routability too.
   {
-    Annealer detailed(cd, result.placement, options.timing_weight, &rng,
-                      pool, legal);
+    Annealer detailed(sets, result.placement, &rng, pool, legal);
     detailed.run(options.detailed_effort);
     result.placement = detailed.placement();
     result.moves_attempted += detailed.moves_attempted();
@@ -353,6 +352,10 @@ PlacementResult place_design(const ClusteredDesign& cd,
     NM_TRACE_COUNT("defect.smb_masked", legality->dead_smb_sites());
     NM_TRACE_COUNT("defect.le_masked", legality->dead_le_slots());
   }
+  // One shared pin-set view per placement, read-only like the legality
+  // table.
+  const PinSets sets = collapse_pin_sets(cd, options.timing_weight);
+  NM_TRACE_VALUE("place.pin_sets", sets.size());
   std::vector<PlacementResult> candidates(
       static_cast<std::size_t>(restarts));
   // Each restart is one pool task with its own RNG stream; restart r's
@@ -362,7 +365,7 @@ PlacementResult place_design(const ClusteredDesign& cd,
     PlacementOptions per = options;
     per.seed = derive_seed(options.seed, static_cast<std::uint64_t>(r));
     candidates[static_cast<std::size_t>(r)] =
-        place_single(cd, arch, per, pool, legal);
+        place_single(cd, sets, arch, per, pool, legal);
   });
 
   // Best cost wins; exact-tie goes to the lowest restart index so the

@@ -8,9 +8,11 @@
 // order, on the calling thread after the loop completes. Which worker
 // runs which index is unspecified and must never matter.
 //
-// Degenerate pools (0 or 1 threads) spawn no workers at all: submit()
+// A pool of 1 thread is degenerate and spawns no workers at all: submit()
 // runs the task inline on the calling thread and parallel_for becomes a
 // plain sequential loop, so `--threads 1` is bit-for-bit the serial flow.
+// A count of 0 (or less) means hardware_threads(), as FlowOptions::threads
+// = 0 does; it is degenerate only on a 1-CPU host.
 #pragma once
 
 #include <condition_variable>
@@ -27,7 +29,7 @@ namespace nanomap {
 class ThreadPool {
  public:
   // num_threads <= 0 selects hardware_threads(). A resolved count of 1
-  // (or 0) creates a degenerate pool that executes everything inline.
+  // creates a degenerate pool that executes everything inline.
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;

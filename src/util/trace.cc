@@ -287,6 +287,7 @@ const std::vector<std::string>& Trace::known_value_sites() {
       "fds.le_per_stage",           // flow: LE usage of each folding stage
       "place.accepted_per_temp",    // place/annealer: accepts per temperature
       "place.cost",                 // place: winning placement cost
+      "place.pin_sets",             // place: distinct SMB pin sets annealed
       "route.channel_occupancy",    // flow: wire nodes used / RR nodes, per route
       "route.iterations_per_cycle", // route: PathFinder iterations per cycle
       "route.overuse_per_cycle",    // route: residual overused nodes per cycle

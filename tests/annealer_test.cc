@@ -1,23 +1,30 @@
-// The annealer's incremental cost kernel: cached bounding boxes with
-// boundary-occupancy counts must track a from-scratch recompute exactly —
-// including through swap moves, rollbacks, shrink-edge rescans, and nets
-// that touch the same SMB with more than one pin.
+// The annealer's pin-set view and incremental cost kernel: nets collapse
+// into weighted distinct SMB sets whose objective matches placement_cost,
+// and cached bounding boxes with boundary-occupancy counts must track a
+// from-scratch recompute of that objective exactly — including through
+// swap moves, rollbacks, shrink-edge rescans, and nets that name the same
+// SMB more than once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "circuits/benchmarks.h"
 #include "core/temporal_cluster.h"
 #include "netlist/plane.h"
 #include "place/annealer.h"
 #include "place/net_bbox.h"
+#include "place/pin_sets.h"
 
 namespace nanomap {
 namespace {
 
 // A synthetic clustered design with controllable fanout; no netlist
-// behind it — the annealer only reads num_smbs and nets.
+// behind it — placement only reads num_smbs and nets.
 ClusteredDesign make_random_cd(int smbs, int nets, int max_fanout,
                                std::uint64_t seed) {
   ClusteredDesign cd;
@@ -54,22 +61,159 @@ Placement random_placement(const ClusteredDesign& cd, Rng* rng) {
   return p;
 }
 
+// A paper circuit scheduled and clustered at one folding level.
+ClusteredDesign cluster_benchmark(const std::string& name, int level) {
+  Design d = make_benchmark(name);
+  CircuitParams p = extract_circuit_params(d.net);
+  ArchParams arch = ArchParams::paper_instance_unbounded_k();
+  DesignSchedule sched;
+  sched.folding = make_folding_config(p, level);
+  sched.planes_share = true;
+  for (int plane = 0; plane < p.num_plane; ++plane) {
+    PlaneScheduleGraph g = build_schedule_graph(d, plane, sched.folding);
+    sched.plane_results.push_back(schedule_plane(g, arch));
+    sched.graphs.push_back(std::move(g));
+  }
+  return temporal_cluster(d, sched, arch);
+}
+
+PlacedNet net(int driver, std::vector<int> sinks, double criticality) {
+  PlacedNet pn;
+  pn.driver_smb = driver;
+  pn.sink_smbs = std::move(sinks);
+  pn.criticality = criticality;
+  return pn;
+}
+
+std::vector<int> set_of(const PinSets& sets, int s) {
+  std::span<const int> smbs = sets.smbs(s);
+  return {smbs.begin(), smbs.end()};
+}
+
+TEST(PinSets, SelfFeedingNetIsASingleSmbSet) {
+  ClusteredDesign cd;
+  cd.num_smbs = 3;
+  cd.nets.push_back(net(2, {2}, 0.5));  // drives only its own SMB
+  cd.nets.push_back(net(0, {1}, 0.0));
+  PinSets sets = collapse_pin_sets(cd, 0.8);
+  ASSERT_EQ(sets.size(), 2);
+  EXPECT_EQ(set_of(sets, 0), std::vector<int>({2}));
+  EXPECT_EQ(set_of(sets, 1), std::vector<int>({0, 1}));
+  EXPECT_EQ(sets.num_nets, 2);
+  EXPECT_EQ(sets.num_smbs, 3);
+
+  // A one-SMB set has a zero-length box wherever it sits, and the
+  // annealer carries it through a full run.
+  EXPECT_EQ(sets.weight[0], 1.0 + 0.8 * 0.5);
+  Rng rng(4);
+  Placement init = random_placement(cd, &rng);
+  EXPECT_EQ(pin_set_cost(sets, init), placement_cost(cd, init, 0.8));
+  Annealer a(sets, init, &rng);
+  a.run(2.0);
+  EXPECT_EQ(a.cost(), pin_set_cost(sets, a.placement()));
+}
+
+TEST(PinSets, DriverAmongSinksAndRepeatedSinksDeduplicate) {
+  ClusteredDesign cd;
+  cd.num_smbs = 4;
+  cd.nets.push_back(net(1, {3, 1, 0, 3}, 0.0));
+  cd.nets.push_back(net(0, {3, 1}, 0.0));  // same SMBs, other driver
+  cd.nets.push_back(net(3, {0}, 0.0));
+  PinSets sets = collapse_pin_sets(cd, 0.8);
+  ASSERT_EQ(sets.size(), 2);
+  EXPECT_EQ(set_of(sets, 0), std::vector<int>({0, 1, 3}));
+  EXPECT_EQ(set_of(sets, 1), std::vector<int>({0, 3}));
+  EXPECT_EQ(sets.begin, std::vector<int>({0, 3, 5}));
+  EXPECT_EQ(sets.weight, std::vector<double>({2.0, 1.0}));
+}
+
+TEST(PinSets, WeightsSumInNetOrderAndSetsNumberByFirstAppearance) {
+  ClusteredDesign cd;
+  cd.num_smbs = 5;
+  const double tw = 0.8;
+  const double c[] = {0.1, 0.7, 0.3, 0.9, 0.25};
+  cd.nets.push_back(net(4, {2}, c[0]));     // set 0: {2, 4}
+  cd.nets.push_back(net(0, {1, 3}, c[1]));  // set 1: {0, 1, 3}
+  cd.nets.push_back(net(2, {4}, c[2]));     // set 0 again
+  cd.nets.push_back(net(3, {0, 1}, c[3]));  // set 1 again
+  cd.nets.push_back(net(4, {2}, c[4]));     // set 0 again
+  PinSets sets = collapse_pin_sets(cd, tw);
+  ASSERT_EQ(sets.size(), 2);
+  EXPECT_EQ(set_of(sets, 0), std::vector<int>({2, 4}));
+  EXPECT_EQ(set_of(sets, 1), std::vector<int>({0, 1, 3}));
+  // Bit-exact: the weights are added in net order.
+  double w0 = 1.0 + tw * c[0];
+  w0 += 1.0 + tw * c[2];
+  w0 += 1.0 + tw * c[4];
+  double w1 = 1.0 + tw * c[1];
+  w1 += 1.0 + tw * c[3];
+  EXPECT_EQ(sets.weight[0], w0);
+  EXPECT_EQ(sets.weight[1], w1);
+  EXPECT_EQ(collapse_pin_sets(cd, 0.0).weight,
+            std::vector<double>({3.0, 2.0}));
+}
+
+// The set count is the number of distinct {driver} ∪ sinks SMB sets,
+// counted independently the way the end-to-end benchmark reports it.
+TEST(PinSets, CountsMatchDistinctPinSetsOnPaperCircuits) {
+  for (const std::string& name : benchmark_names()) {
+    for (int level : {1, 2}) {
+      ClusteredDesign cd = cluster_benchmark(name, level);
+      std::set<std::vector<int>> distinct;
+      for (const PlacedNet& pn : cd.nets) {
+        std::vector<int> pins = pn.sink_smbs;
+        pins.push_back(pn.driver_smb);
+        std::sort(pins.begin(), pins.end());
+        distinct.insert(std::move(pins));
+      }
+      PinSets sets = collapse_pin_sets(cd, 0.8);
+      EXPECT_EQ(sets.size(), static_cast<int>(distinct.size()))
+          << name << " level " << level;
+      EXPECT_EQ(sets.num_nets, static_cast<int>(cd.nets.size()));
+      EXPECT_LT(sets.size(), sets.num_nets) << name << " level " << level;
+      double total = 0.0;
+      for (double w : sets.weight) total += w;
+      double want = 0.0;
+      for (const PlacedNet& pn : cd.nets) want += 1.0 + 0.8 * pn.criticality;
+      EXPECT_NEAR(total, want, 1e-9 * want) << name << " level " << level;
+    }
+  }
+}
+
+// The pin-set objective is placement_cost() regrouped: equal up to
+// floating-point summation order.
+TEST(PinSets, ObjectiveMatchesPlacementCost) {
+  std::vector<ClusteredDesign> designs = {make_random_cd(30, 80, 8, 5),
+                                          cluster_benchmark("ex1", 1),
+                                          cluster_benchmark("ASPP4", 1)};
+  for (const ClusteredDesign& cd : designs) {
+    for (double tw : {0.0, 0.8}) {
+      PinSets sets = collapse_pin_sets(cd, tw);
+      Rng rng(17);
+      for (int trial = 0; trial < 20; ++trial) {
+        Placement p = random_placement(cd, &rng);
+        double want = placement_cost(cd, p, tw);
+        EXPECT_NEAR(pin_set_cost(sets, p), want,
+                    1e-9 * std::max(1.0, want));
+      }
+    }
+  }
+}
+
 TEST(NetBoxCache, MatchesScratchUnderRandomSinglePinMoves) {
   ClusteredDesign cd = make_random_cd(24, 40, 6, 11);
+  PinSets sets = collapse_pin_sets(cd, 0.8);
   Rng rng(3);
   Placement p = random_placement(cd, &rng);
   NetBoxCache cache;
-  cache.init(cd, p, nullptr);
+  cache.init(sets, p, nullptr);
 
-  // Incident lists so every move updates exactly the nets it affects.
-  std::vector<std::vector<int>> nets_of(
+  // Incident lists so every move updates exactly the sets it affects.
+  std::vector<std::vector<int>> sets_of(
       static_cast<std::size_t>(cd.num_smbs));
-  for (std::size_t i = 0; i < cd.nets.size(); ++i) {
-    nets_of[static_cast<std::size_t>(cd.nets[i].driver_smb)].push_back(
-        static_cast<int>(i));
-    for (int s : cd.nets[i].sink_smbs)
-      nets_of[static_cast<std::size_t>(s)].push_back(static_cast<int>(i));
-  }
+  for (int s = 0; s < sets.size(); ++s)
+    for (int m : sets.smbs(s))
+      sets_of[static_cast<std::size_t>(m)].push_back(s);
 
   std::set<int> used(p.site_of_smb.begin(), p.site_of_smb.end());
   for (int step = 0; step < 2000; ++step) {
@@ -85,12 +229,12 @@ TEST(NetBoxCache, MatchesScratchUnderRandomSinglePinMoves) {
     used.insert(to);
     p.site_of_smb[static_cast<std::size_t>(smb)] = to;
     cache.set_smb_xy(smb, tx, ty);
-    for (int n : nets_of[static_cast<std::size_t>(smb)])
-      cache.move_pins(n, fx, fy, tx, ty, 1);
+    for (int n : sets_of[static_cast<std::size_t>(smb)])
+      cache.move_pin(n, fx, fy, tx, ty);
     // Every box — updated or not — must equal the from-scratch scan,
     // boundary counts included.
     for (int n = 0; n < cache.size(); ++n)
-      ASSERT_EQ(cache.box(n), cache.compute_box(n)) << "net " << n
+      ASSERT_EQ(cache.box(n), cache.compute_box(n)) << "set " << n
                                                     << " step " << step;
   }
 }
@@ -106,37 +250,73 @@ TEST(NetBoxCache, ShrinkEdgeRescanIsExact) {
   pn.sink_smbs = {1, 2};
   cd.nets.push_back(pn);
 
+  PinSets sets = collapse_pin_sets(cd, 0.8);
+
   Placement p;
   p.grid = {5, 5};
   // smb0 (4,0), smb1 (0,0), smb2 (2,2).
   p.site_of_smb = {4, 0, 12};
   NetBoxCache cache;
-  cache.init(cd, p, nullptr);
+  cache.init(sets, p, nullptr);
   EXPECT_EQ(cache.box(0).xmax, 4);
   EXPECT_EQ(cache.box(0).on_xmax, 1);
 
   // Move smb0 to (1,1): xmax edge loses its only pin.
   p.site_of_smb[0] = 6;
   cache.set_smb_xy(0, 1, 1);
-  cache.move_pins(0, 4, 0, 1, 1, 1);
+  cache.move_pin(0, 4, 0, 1, 1);
   EXPECT_EQ(cache.box(0), cache.compute_box(0));
   EXPECT_EQ(cache.box(0).xmax, 2);
   EXPECT_EQ(cache.box(0).hpwl(), 2 + 2);
 }
 
+TEST(NetBoxCache, SwapInsideOneSetLeavesTheBoxUnchanged) {
+  ClusteredDesign cd;
+  cd.num_cycles = 1;
+  cd.num_smbs = 3;
+  cd.nets.push_back(net(0, {1, 2}, 0.0));
+  PinSets sets = collapse_pin_sets(cd, 0.8);
+  Placement p;
+  p.grid = {5, 5};
+  // smb0 (4,0) alone on the xmax edge, smb1 (0,0), smb2 (2,2).
+  p.site_of_smb = {4, 0, 12};
+  NetBoxCache cache;
+  cache.init(sets, p, nullptr);
+  const NetBox before = cache.box(0);
+  // Swap smb0 and smb2: both pins of the set move, the coordinate
+  // multiset does not.
+  cache.set_smb_xy(0, 2, 2);
+  cache.set_smb_xy(2, 4, 0);
+  NetBox b = before;
+  cache.update_box(&b, 0, 4, 0, 2, 2, true, true);
+  EXPECT_EQ(b, before);
+  EXPECT_EQ(b, cache.compute_box(0));
+  // A one-sided swap update is the single-pin move, in either direction.
+  cache.set_smb_xy(2, 2, 2);
+  b = before;
+  cache.update_box(&b, 0, 4, 0, 2, 2, true, false);
+  EXPECT_EQ(b, cache.compute_box(0));
+  cache.set_smb_xy(0, 4, 0);
+  cache.set_smb_xy(2, 1, 1);
+  b = before;
+  cache.update_box(&b, 0, 1, 1, 2, 2, false, true);
+  EXPECT_EQ(b, cache.compute_box(0));
+}
+
 // Full-anneal audit: the final incremental cost must equal a from-scratch
-// placement_cost recompute *bit-exactly* (same per-net products, same
-// net-order reduction), and the running delta-accumulated cost must have
+// pin_set_cost recompute *bit-exactly* (same per-set products, same
+// set-order reduction), and the running delta-accumulated cost must have
 // stayed within rounding of it.
 TEST(Annealer, FullAnnealCostMatchesScratchBitExactly) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     ClusteredDesign cd = make_random_cd(30, 80, 8, 100 + seed);
+    const double tw = 0.8;
+    PinSets sets = collapse_pin_sets(cd, tw);
     Rng rng(seed);
     Placement init = random_placement(cd, &rng);
-    const double tw = 0.8;
-    Annealer a(cd, init, tw, &rng);
+    Annealer a(sets, init, &rng);
     a.run(1.0);
-    double scratch = placement_cost(cd, a.placement(), tw);
+    double scratch = pin_set_cost(sets, a.placement());
     EXPECT_EQ(a.cost(), scratch) << "seed " << seed;  // bit-exact
     EXPECT_NEAR(a.running_cost(), scratch,
                 1e-6 * std::max(1.0, scratch))
@@ -144,58 +324,38 @@ TEST(Annealer, FullAnnealCostMatchesScratchBitExactly) {
   }
 }
 
-// Regression for the nets_of_ double-count bug: an SMB incident to the
-// same net via several pins (driver + sink — a self-feeding net — or
+// Regression for the historical incident-list double-count bug: an SMB
+// named several times by one net (driver + sink — a self-feeding net — or
 // repeated sink pins) used to contribute that net twice to the move
 // delta, so the running cost drifted away from the true objective.
 TEST(Annealer, SelfFeedingNetDoesNotDriftRunningCost) {
   ClusteredDesign cd;
   cd.num_cycles = 1;
   cd.num_smbs = 4;
-  PlacedNet self;
-  self.driver_smb = 0;
-  self.sink_smbs = {0, 1, 2};  // driver's own SMB again + two real sinks
-  self.criticality = 0.5;
-  cd.nets.push_back(self);
-  PlacedNet dup;
-  dup.driver_smb = 1;
-  dup.sink_smbs = {3, 3};  // repeated sink pin
-  dup.criticality = 0.25;
-  cd.nets.push_back(dup);
-  PlacedNet plain;
-  plain.driver_smb = 2;
-  plain.sink_smbs = {3};
-  cd.nets.push_back(plain);
+  cd.nets.push_back(net(0, {0, 1, 2}, 0.5));  // driver's own SMB again
+  cd.nets.push_back(net(1, {3, 3}, 0.25));    // repeated sink pin
+  cd.nets.push_back(net(2, {3}, 0.0));
 
+  PinSets sets = collapse_pin_sets(cd, 0.8);
   Rng rng(9);
   Placement init = random_placement(cd, &rng);
-  Annealer a(cd, init, 0.8, &rng);
+  Annealer a(sets, init, &rng);
   a.run(4.0);
-  double scratch = placement_cost(cd, a.placement(), 0.8);
+  double scratch = pin_set_cost(sets, a.placement());
   EXPECT_EQ(a.cost(), scratch);
   EXPECT_NEAR(a.running_cost(), scratch, 1e-9 * std::max(1.0, scratch));
 }
 
-// Real-circuit end-to-end: the incremental kernel through the two-step
-// placement of a paper benchmark still lands on the exact objective.
+// Real-circuit end-to-end: the incremental kernel on the collapsed sets
+// of a paper benchmark still lands on the exact pin-set objective.
 TEST(Annealer, BenchmarkCircuitCostMatchesScratch) {
-  Design d = make_benchmark("ex1");
-  CircuitParams p = extract_circuit_params(d.net);
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  DesignSchedule sched;
-  sched.folding = make_folding_config(p, 1);
-  sched.planes_share = true;
-  for (int plane = 0; plane < p.num_plane; ++plane) {
-    PlaneScheduleGraph g = build_schedule_graph(d, plane, sched.folding);
-    sched.plane_results.push_back(schedule_plane(g, arch));
-    sched.graphs.push_back(std::move(g));
-  }
-  ClusteredDesign cd = temporal_cluster(d, sched, arch);
+  ClusteredDesign cd = cluster_benchmark("ex1", 1);
+  PinSets sets = collapse_pin_sets(cd, 0.8);
   Rng rng(42);
   Placement init = random_placement(cd, &rng);
-  Annealer a(cd, init, 0.8, &rng);
+  Annealer a(sets, init, &rng);
   a.run(1.0);
-  EXPECT_EQ(a.cost(), placement_cost(cd, a.placement(), 0.8));
+  EXPECT_EQ(a.cost(), pin_set_cost(sets, a.placement()));
 }
 
 }  // namespace

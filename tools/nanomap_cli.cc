@@ -83,8 +83,10 @@ using namespace nanomap;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+// Prints usage to `out`; `--help` asks for it on stdout and exits 0, a
+// bad command line gets it on stderr and exits 2.
+int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
+  std::fprintf(out,
                "usage: %s <input.{nmap,blif,vhd}|bench:NAME> [--objective "
                "at|delay|area|both] [--area N] [--delay NS] [--level L] "
                "[--k N] [--defects FILE|seed=S,le=R,smb=R,wire=R] "
@@ -93,10 +95,12 @@ int usage(const char* argv0) {
                "[--explore[=serial|parallel]] [--pareto] [--out FILE] "
                "[--blif-out FILE] [--report] [--report=json FILE] "
                "[--trace] [--explain-failure] "
-               "[--fault SITE:N[:KIND]] [--quiet]\n",
+               "[--fault SITE:N[:KIND]] [--quiet] [--help]\n",
                argv0);
-  return 2;
+  return code;
 }
+
+bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
 
 // Exit-code taxonomy: the flow returns clean results with a typed error
 // kind instead of throwing, so the code comes from the shared
@@ -113,6 +117,7 @@ constexpr int kExitInternalError = 3;
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   std::string input = argv[1];
+  if (is_help(input)) return usage(argv[0], stdout, 0);
   FlowOptions opts;
   opts.arch = ArchParams::paper_instance();
   std::string out_path, blif_out, report_json;
@@ -132,7 +137,9 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--objective") {
+    if (is_help(arg)) {
+      return usage(argv[0], stdout, 0);
+    } else if (arg == "--objective") {
       std::string v = next();
       if (v == "at") opts.objective = Objective::kAreaDelayProduct;
       else if (v == "delay") opts.objective = Objective::kMinDelay;

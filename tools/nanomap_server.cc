@@ -44,13 +44,15 @@ using namespace nanomap;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+// Prints usage to `out`; `--help` asks for it on stdout and exits 0, a
+// bad command line gets it on stderr and exits 2.
+int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
+  std::fprintf(out,
                "usage: %s [--workers N] [--threads N] [--seed S] "
                "[--arch FILE] [--defects FILE|seed=S,le=R,smb=R,wire=R] "
-               "[--timings] [--trace] [--quiet] < jobs.jsonl\n",
+               "[--timings] [--trace] [--quiet] [--help] < jobs.jsonl\n",
                argv0);
-  return 2;
+  return code;
 }
 
 }  // namespace
@@ -68,7 +70,9 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--workers") {
+    if (arg == "--help" || arg == "-h") {
+      return usage(argv[0], stdout, 0);
+    } else if (arg == "--workers") {
       opts.workers = std::atoi(next().c_str());
       if (opts.workers < 1) {
         std::fprintf(stderr, "--workers must be >= 1\n");
