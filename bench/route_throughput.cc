@@ -7,7 +7,7 @@
 // threads, so the benchmark doubles as an end-to-end identity check and
 // exits nonzero on any divergence.
 //
-// Three scenarios per circuit (schema in docs/FORMATS.md):
+// Four scenarios per circuit (schema in docs/FORMATS.md):
 //   converge  one cold route_design call with full budgets — measures the
 //             incremental bookkeeping overhead against the seed router
 //             when nothing can be reused (expected ~parity);
@@ -21,10 +21,6 @@
 //             every folding cycle replays from cache, and the result is
 //             asserted byte-identical to the cold reference run. This is
 //             the headline incremental speedup.
-//   spec      the cold converge call with speculative batching on, at
-//             pool widths 1 and 4 — identical bytes by construction, so
-//             on a single-core host the two columns document parity and
-//             on a multi-core host the t4 column shows the speedup;
 //   sibling   a cold route donates its RouteState to a channel-widened
 //             copy of the graph (the explorer warm-chain hand-off): the
 //             whole-cycle cache misses (capacities changed), and the
@@ -146,15 +142,6 @@ bool check_identity(const Physical& ph, const RrGraph& rr,
       if (!identical(want, warm)) return false;
       if (warm.reuse.cycles_reused != ph.cd.num_cycles) return false;
     }
-    // Speculation engages only at batch_size 1 (it *is* the batch-1
-    // schedule, reordered); both modes must bracket the reference.
-    if (batch == 1) {
-      RouterOptions off = opts;
-      off.speculative = false;
-      for (ThreadPool* pool : {&pool1, &pool4})
-        if (!identical(want, route_design(ph.cd, ph.p, rr, off, pool)))
-          return false;
-    }
   }
   return true;
 }
@@ -219,10 +206,6 @@ struct Row {
   int ladder_rung = 0;          // winning rung index
   long ladder_reused = 0;       // ladder walk, net searches skipped
   long skipped_nets = 0;        // converge scenario, clean-net skips
-  double spec_t1_ms = 0.0;      // spec scenario, speculative cold, pool 1
-  double spec_t4_ms = 0.0;      // spec scenario, speculative cold, pool 4
-  long spec_batches = 0;        // multi-net batches per speculative call
-  long spec_conflicts = 0;      // commit-time losers per speculative call
   double sibling_ms = 0.0;      // sibling scenario, donated-state route
   long sibling_hits = 0;        // per-net cache hits in the sibling route
   long sibling_misses = 0;      // per-net cache misses in the sibling route
@@ -250,27 +233,10 @@ Row measure(const std::string& name, int planes, int luts, int depth,
   });
   row.converged = last.success;
   row.worst_iterations = last.worst_iterations;
-  RouterOptions seq = full;  // the kernel column is the sequential path
-  seq.speculative = false;
   row.kernel_ms = measure_ms(reps, [&] {
-    last = route_design(ph.cd, ph.p, rr, seq);
+    last = route_design(ph.cd, ph.p, rr, full);
   });
   row.skipped_nets = last.reuse.nets_skipped;
-
-  // Speculative cold converge at pool widths 1 and 4. The batch/conflict
-  // schedule is a pure function of the problem, so both runs report the
-  // same counters and the same bytes; only the wall clock may differ.
-  {
-    ThreadPool pool1(1), pool4(4);
-    row.spec_t1_ms = measure_ms(reps, [&] {
-      last = route_design(ph.cd, ph.p, rr, full, &pool1);
-    });
-    row.spec_t4_ms = measure_ms(reps, [&] {
-      last = route_design(ph.cd, ph.p, rr, full, &pool4);
-    });
-    row.spec_batches = last.reuse.spec_batches;
-    row.spec_conflicts = last.reuse.spec_conflicts;
-  }
 
   // Warm replay: populate the state once, then measure repeat calls.
   {
@@ -375,6 +341,7 @@ int main(int argc, char** argv) {
   w.field("smoke", smoke);
   w.field("hardware_threads",
           static_cast<long>(ThreadPool::hardware_threads()));
+  w.field("build_type", NANOMAP_BUILD_TYPE);
   w.key("rows");
   w.begin_array();
   bool all_identical = true;
@@ -404,10 +371,6 @@ int main(int argc, char** argv) {
     w.field("ladder_winning_rung", r.ladder_rung);
     w.field("ladder_skipped_net_searches", r.ladder_reused);
     w.field("cold_skipped_net_searches", r.skipped_nets);
-    w.field("spec_cold_t1_ms", round2(r.spec_t1_ms));
-    w.field("spec_cold_t4_ms", round2(r.spec_t4_ms));
-    w.field("spec_batches", r.spec_batches);
-    w.field("spec_conflicts", r.spec_conflicts);
     w.field("sibling_warm_ms", round2(r.sibling_ms));
     w.field("net_cache_hits", r.sibling_hits);
     w.field("net_cache_misses", r.sibling_misses);
@@ -423,7 +386,6 @@ int main(int argc, char** argv) {
         "%-16s luts %4d nets %4d cycles %2d wi %2d  "
         "cold %7.2f -> %7.2f ms (%5.2fx)  warm %7.3f ms (%6.2fx, %ld "
         "cycles replayed)  ladder %7.2f -> %7.2f ms (%5.2fx, rung %d)  "
-        "spec %7.2f / %7.2f ms (%ld batches, %ld losers)  "
         "sibling %7.3f ms (%ld/%ld net-cache hits)  identical %s\n",
         r.name.c_str(), r.luts, r.nets, r.cycles, r.worst_iterations,
         r.ref_ms, r.kernel_ms,
@@ -431,8 +393,7 @@ int main(int argc, char** argv) {
         r.warm_ms > 0 ? r.ref_ms / r.warm_ms : 0.0, r.warm_reused,
         r.ladder_ref_ms, r.ladder_kernel_ms,
         r.ladder_kernel_ms > 0 ? r.ladder_ref_ms / r.ladder_kernel_ms : 0.0,
-        r.ladder_rung, r.spec_t1_ms, r.spec_t4_ms, r.spec_batches,
-        r.spec_conflicts, r.sibling_ms, r.sibling_hits,
+        r.ladder_rung, r.sibling_ms, r.sibling_hits,
         r.sibling_hits + r.sibling_misses, r.identical ? "yes" : "NO");
   }
   w.end();

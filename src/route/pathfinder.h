@@ -25,10 +25,7 @@
 //   * per net, a geometric cache replays congestion-clean searches whose
 //     whole read-set is still clean, so a net routed identically in cycle
 //     k seeds cycle k+1 (and warm-started calls) even when the cycle
-//     signature differs (DESIGN.md §5i);
-//   * at the sequential schedule, footprint-disjoint runs of nets are
-//     routed speculatively in parallel and validated at commit time
-//     (options.speculative) — a pure wall-clock lever.
+//     signature differs (DESIGN.md §5i).
 // Building with -DNANOMAP_AUDIT_ROUTE=ON (CMake option, wired into the
 // tsan preset) cross-checks every route_design call against the reference
 // router, bit-exact.
@@ -37,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "place/placement.h"
@@ -65,61 +61,7 @@ struct RouterOptions {
   // Larger batches change the negotiation schedule (deterministically:
   // results depend on the batch size, never on the thread count).
   int batch_size = 1;
-  // Speculative parallel negotiation (DESIGN.md §5i). Engages only at the
-  // sequential schedule (effective batch_size == 1): consecutive nets
-  // whose route footprints are pairwise disjoint form a batch, the batch's
-  // searches run concurrently against the iteration's live snapshot, and
-  // each result is admitted at commit time only if every cost it read is
-  // provably unchanged — otherwise the member re-routes sequentially in
-  // net order. Routes, reports and counters are byte-identical to the
-  // sequential negotiation at any thread count, speculation on or off;
-  // the flag is purely a wall-clock lever (CLI: --route-spec[=off]).
-  bool speculative = true;
-  // Test instrumentation: when non-null, receives (speculative batch
-  // ordinal, net index) for every batch member re-routed sequentially at
-  // commit time, in re-route order. Never affects results.
-  std::vector<std::pair<int, int>>* spec_loser_log = nullptr;
 };
-
-// Bounding region of one net's current route tree (its terminals before
-// the first search) — the speculative scheduler's cheap conservative
-// disjointness test. Every non-global RR node has an anchor site inside
-// the bounding box of the tree that uses it, so nets with disjoint
-// footprints (and no shared global lines) cannot contend for a node.
-//
-// Global lines get span-accurate treatment instead of the bbox: a
-// horizontal global line is the whole row y and a vertical one the whole
-// column x, but both *anchor* at x/y = 0 — folding them into the bbox
-// used to stretch every global user's box to the fabric edge and deflate
-// speculative batch sizes on global-heavy circuits. They now live in
-// per-axis occupancy masks (row/column index mod 64); two footprints
-// sharing a masked row or column conflict regardless of their boxes. The
-// mod-64 fold can only alias distinct rows/columns together, i.e. report
-// a false overlap — conservative, never unsound.
-struct NetFootprint {
-  int min_x = 0;
-  int min_y = 0;
-  int max_x = -1;  // empty by default (max < min overlaps nothing)
-  int max_y = -1;
-  std::uint64_t global_rows = 0;  // horizontal global lines: bit (y % 64)
-  std::uint64_t global_cols = 0;  // vertical global lines: bit (x % 64)
-  bool overlaps(const NetFootprint& o) const {
-    if ((global_rows & o.global_rows) != 0 ||
-        (global_cols & o.global_cols) != 0)
-      return true;
-    return min_x <= o.max_x && o.min_x <= max_x && min_y <= o.max_y &&
-           o.min_y <= max_y;
-  }
-};
-
-// Partitions net slots [0, footprints.size()) into consecutive runs of
-// pairwise-disjoint footprints, each at most max_run long; returns the
-// one-past-the-end index of every run. This is exactly the batch schedule
-// the speculative router uses (exposed so tests can check the invariant
-// directly); it is a pure function of its arguments, so the schedule never
-// depends on thread count or timing.
-std::vector<int> speculative_batch_ends(
-    const std::vector<NetFootprint>& footprints, int max_run);
 
 // Routed path delays for one net (one entry per sink SMB).
 struct NetRoute {
@@ -145,8 +87,9 @@ struct RouteReuseStats {
   long nets_reused = 0;     // nets inside those replayed cycles
   long nets_skipped = 0;    // clean-net skips inside live PathFinder loops
   long nets_rerouted = 0;   // net searches executed (A* or net-cache replay)
-  long spec_batches = 0;    // multi-net speculative batches executed
-  long spec_conflicts = 0;  // batch members re-routed at commit time
+  // Always 0 (one sequential schedule); flowbench/ still reads both.
+  long spec_batches = 0;
+  long spec_conflicts = 0;
   long net_cache_hits = 0;  // committed searches served by the per-net cache
   long net_cache_misses = 0;  // committed searches that ran A*
 };

@@ -1,9 +1,11 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.h"
 
@@ -41,12 +43,29 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 int parse_int(std::string_view text, std::string_view context) {
   std::string buf(text);
   char* end = nullptr;
+  errno = 0;
   long v = std::strtol(buf.c_str(), &end, 10);
-  if (end == buf.c_str() || *end != '\0') {
+  if (end == buf.c_str() || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
     throw InputError("expected integer in " + std::string(context) + ": '" +
                      buf + "'");
   }
   return static_cast<int>(v);
+}
+
+std::uint64_t parse_u64(std::string_view text, std::string_view context) {
+  std::string buf(text);
+  char* end = nullptr;
+  errno = 0;
+  // strtoull accepts (and wraps) a leading '-', so demand a digit first.
+  unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
+  if (buf.empty() || !std::isdigit(static_cast<unsigned char>(buf[0])) ||
+      *end != '\0' || errno == ERANGE) {
+    throw InputError("expected unsigned integer in " + std::string(context) +
+                     ": '" + buf + "'");
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 double parse_double(std::string_view text, std::string_view context) {

@@ -13,7 +13,7 @@ using Clock = std::chrono::steady_clock;
 
 namespace internal {
 
-thread_local TraceCollector* tls_request_collector = nullptr;
+constinit thread_local TraceCollector* tls_request_collector = nullptr;
 
 }  // namespace internal
 
@@ -264,8 +264,6 @@ const std::vector<std::string>& Trace::known_counter_sites() {
       "route.net_cache_hits",  // route/pathfinder: searches served per-net
       "route.net_cache_misses",  // route/pathfinder: searches that ran A*
       "route.reroutes",        // route/pathfinder: net searches executed
-      "route.spec_batches",    // route/pathfinder: multi-net speculative batches
-      "route.spec_conflicts",  // route/pathfinder: members re-routed at commit
       "serve.cache.arch_hits",     // serve/cache: arch configs served cached
       "serve.cache.arch_misses",   // serve/cache: arch configs parsed fresh
       "serve.cache.design_hits",   // serve/cache: circuits served cached

@@ -137,7 +137,10 @@ namespace internal {
 // The request-scoped collector bound to this thread by the innermost
 // TraceRequestScope (null when none). Read by the NM_TRACE_* fast path;
 // written only by TraceRequestScope and the ThreadPool task wrappers.
-extern thread_local TraceCollector* tls_request_collector;
+// constinit tells every includer the variable needs no dynamic
+// initialization, so accesses skip GCC's TLS init wrapper (which UBSan's
+// null check misreads as a null load).
+extern constinit thread_local TraceCollector* tls_request_collector;
 
 }  // namespace internal
 

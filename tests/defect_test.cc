@@ -4,7 +4,7 @@
 // placement legality and the bipartite fit check, bitstream-level
 // defect verification, and the end-to-end flow invariants — an inactive
 // or empty spec is byte-identical to the defect-free flow, an active one
-// is thread-count and speculation invariant, and an impossible fabric
+// is thread-count invariant, and an impossible fabric
 // yields the typed kDefectInfeasible error.
 #include "arch/defect.h"
 
@@ -392,6 +392,7 @@ TEST(DefectFlow, ZeroRateEmptyMapReproducesDefectFreeFlow) {
   EXPECT_EQ(serialize_bitmap(clean.bitmap), serialize_bitmap(empty.bitmap));
 }
 
+// (The name predates the router's single schedule; only threads vary.)
 TEST(DefectFlow, ActiveDefectsAreThreadAndSpeculationInvariant) {
   Design design = make_benchmark("ex1");
   FlowOptions base = defect_flow_options(0.02, 3);
@@ -401,16 +402,12 @@ TEST(DefectFlow, ActiveDefectsAreThreadAndSpeculationInvariant) {
 
   FlowOptions threads4 = base;
   threads4.threads = 4;
-  FlowOptions no_spec = base;
-  no_spec.router.speculative = false;
-  for (const FlowOptions& opts : {threads4, no_spec}) {
-    FlowResult got = run_nanomap(design, opts);
-    ASSERT_TRUE(got.feasible) << got.message;
-    EXPECT_EQ(want.placement.placement.site_of_smb,
-              got.placement.placement.site_of_smb);
-    EXPECT_EQ(want.delay_ns, got.delay_ns);
-    EXPECT_EQ(serialize_bitmap(want.bitmap), serialize_bitmap(got.bitmap));
-  }
+  FlowResult got = run_nanomap(design, threads4);
+  ASSERT_TRUE(got.feasible) << got.message;
+  EXPECT_EQ(want.placement.placement.site_of_smb,
+            got.placement.placement.site_of_smb);
+  EXPECT_EQ(want.delay_ns, got.delay_ns);
+  EXPECT_EQ(serialize_bitmap(want.bitmap), serialize_bitmap(got.bitmap));
 }
 
 TEST(DefectFlow, ImpossibleFabricYieldsTypedReject) {

@@ -218,37 +218,54 @@ Physical build_physical(const RandomDagSpec& spec, int level,
 }
 
 TEST(PathFinderDifferential, SweepSeedsLevelsChannels) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    for (int level : {0, 1, 2}) {
-      for (bool narrow : {false, true}) {
-        ArchParams arch = ArchParams::paper_instance_unbounded_k();
-        if (narrow) {
-          arch.direct_links_per_side = 2;
-          arch.len1_tracks = 4;
-          arch.len4_tracks = 2;
-          arch.global_tracks = 2;
-        }
-        RandomDagSpec spec;
-        spec.luts_per_plane = 30;
-        spec.depth = 4;
-        spec.num_inputs = 10;
-        spec.seed = seed;
-        Physical ph = build_physical(spec, level, arch);
-        RrGraph rr(ph.p.grid, arch);
-        std::string ctx = "seed " + std::to_string(seed) + " level " +
-                          std::to_string(level) +
-                          (narrow ? " narrow" : " normal");
-        RouterOptions opts;
-        opts.max_iterations = 20;  // allow honest failures on narrow fabrics
-        expect_identical(route_design(ph.cd, ph.p, rr, opts),
-                         route_nets_reference(ph.cd, ph.p, rr, opts), ctx);
-        if (seed == 1) {  // batched negotiation, pooled vs. reference
-          opts.batch_size = 4;
-          ThreadPool pool(4);
-          expect_identical(
-              route_design(ph.cd, ph.p, rr, opts, &pool),
-              route_nets_reference(ph.cd, ph.p, rr, opts),
-              ctx + " batch4");
+  // Two input sizes: 30-LUT circuits on the normal and a narrow fabric,
+  // and 120-LUT circuits on the narrow fabric only, where negotiations
+  // run long and many nets rip up every iteration.
+  struct Size {
+    int luts;
+    std::uint64_t first_seed, last_seed;
+    bool narrow_only;
+  };
+  for (const Size& size : {Size{30, 1, 5, false}, Size{120, 11, 16, true}}) {
+    for (std::uint64_t seed = size.first_seed; seed <= size.last_seed;
+         ++seed) {
+      for (int level : {0, 1, 2}) {
+        for (bool narrow : {false, true}) {
+          if (size.narrow_only && !narrow) continue;
+          ArchParams arch = ArchParams::paper_instance_unbounded_k();
+          if (narrow) {
+            arch.direct_links_per_side = 2;
+            arch.len1_tracks = 4;
+            arch.len4_tracks = 2;
+            arch.global_tracks = 2;
+          }
+          RandomDagSpec spec;
+          spec.luts_per_plane = size.luts;
+          spec.depth = 4;
+          spec.num_inputs = 10;
+          spec.seed = seed;
+          Physical ph = build_physical(spec, level, arch);
+          RrGraph rr(ph.p.grid, arch);
+          std::string ctx = std::to_string(size.luts) + " LUTs seed " +
+                            std::to_string(seed) + " level " +
+                            std::to_string(level) +
+                            (narrow ? " narrow" : " normal");
+          RouterOptions opts;
+          opts.max_iterations = 20;  // allow honest failures when narrow
+          const RoutingResult want =
+              route_nets_reference(ph.cd, ph.p, rr, opts);
+          expect_identical(route_design(ph.cd, ph.p, rr, opts), want, ctx);
+          if (size.narrow_only) {  // the large size must really negotiate
+            EXPECT_GT(want.worst_iterations, 1) << ctx;
+          }
+          if (seed == size.first_seed) {  // batched, pooled vs. reference
+            opts.batch_size = 4;
+            ThreadPool pool(4);
+            expect_identical(
+                route_design(ph.cd, ph.p, rr, opts, &pool),
+                route_nets_reference(ph.cd, ph.p, rr, opts),
+                ctx + " batch4");
+          }
         }
       }
     }
@@ -486,238 +503,6 @@ TEST(PathFinderStarvation, ExtremePresFacReportsOveruseHonestly) {
   EXPECT_TRUE(validate_routing(cd, p, rr, r, &why)) << why;
   // The fix lives in the reference router too (identity over divergence).
   expect_identical(r, route_nets_reference(cd, p, rr, opts), "starvation");
-}
-
-TEST(PathFinderSpeculative, BatchEndsArePairwiseDisjointMaximalRuns) {
-  // Property test of the batch scheduler the speculative router uses
-  // verbatim: runs cover every slot, respect max_run, are pairwise
-  // disjoint, and are maximal (a run only stops at a clash or the cap).
-  std::mt19937_64 rng(11);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int n = 1 + static_cast<int>(rng() % 40);
-    const int max_run = 1 + static_cast<int>(rng() % 8);
-    std::vector<NetFootprint> fps(static_cast<std::size_t>(n));
-    for (NetFootprint& f : fps) {
-      f.min_x = static_cast<int>(rng() % 12);
-      f.min_y = static_cast<int>(rng() % 12);
-      f.max_x = f.min_x + static_cast<int>(rng() % 4);
-      f.max_y = f.min_y + static_cast<int>(rng() % 4);
-    }
-    const std::vector<int> ends = speculative_batch_ends(fps, max_run);
-    ASSERT_FALSE(ends.empty());
-    EXPECT_EQ(ends.back(), n);
-    int start = 0;
-    for (int end : ends) {
-      ASSERT_GT(end, start);
-      EXPECT_LE(end - start, max_run);
-      for (int i = start; i < end; ++i)
-        for (int j = i + 1; j < end; ++j)
-          EXPECT_FALSE(fps[static_cast<std::size_t>(i)].overlaps(
-              fps[static_cast<std::size_t>(j)]))
-              << "trial " << trial << " run [" << start << "," << end
-              << ") members " << i << "," << j;
-      if (end < n && end - start < max_run) {
-        bool clash = false;
-        for (int i = start; i < end && !clash; ++i)
-          clash = fps[static_cast<std::size_t>(i)].overlaps(
-              fps[static_cast<std::size_t>(end)]);
-        EXPECT_TRUE(clash) << "trial " << trial << " run ends at " << end
-                           << " with slack but no clash";
-      }
-      start = end;
-    }
-  }
-}
-
-TEST(PathFinderSpeculative, MatchesSequentialAcrossSeedsLevelsAndPools) {
-  // Speculation on must be byte-identical to speculation off — routes,
-  // delays, iteration counts AND the sequential-semantic reuse stats —
-  // across congested random circuits, and its batch/conflict schedule
-  // must be a pure function of the problem, never of the pool width.
-  long total_batches = 0;
-  for (std::uint64_t seed = 11; seed <= 16; ++seed) {
-    for (int level : {0, 1, 2}) {
-      ArchParams arch = ArchParams::paper_instance_unbounded_k();
-      arch.direct_links_per_side = 2;  // narrow: keep the negotiation real
-      arch.len1_tracks = 4;
-      arch.len4_tracks = 2;
-      arch.global_tracks = 2;
-      RandomDagSpec spec;
-      spec.luts_per_plane = 120;  // big enough that disjoint runs exist
-      spec.depth = 4;
-      spec.num_inputs = 10;
-      spec.seed = seed;
-      Physical ph = build_physical(spec, level, arch);
-      RrGraph rr(ph.p.grid, arch);
-      const std::string ctx =
-          "seed " + std::to_string(seed) + " level " + std::to_string(level);
-      RouterOptions off;
-      off.max_iterations = 20;
-      off.speculative = false;
-      const RoutingResult want = route_design(ph.cd, ph.p, rr, off);
-      EXPECT_EQ(want.reuse.spec_batches, 0) << ctx;
-      EXPECT_EQ(want.reuse.spec_conflicts, 0) << ctx;
-      std::vector<std::pair<int, int>> losers1;
-      for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        RouterOptions on;
-        on.max_iterations = 20;
-        std::vector<std::pair<int, int>> losers;
-        on.spec_loser_log = &losers;
-        const RoutingResult got = route_design(ph.cd, ph.p, rr, on, &pool);
-        const std::string pctx = ctx + " pool " + std::to_string(threads);
-        expect_identical(got, want, pctx);
-        EXPECT_EQ(got.reuse.nets_rerouted, want.reuse.nets_rerouted) << pctx;
-        EXPECT_EQ(got.reuse.nets_skipped, want.reuse.nets_skipped) << pctx;
-        EXPECT_EQ(got.reuse.net_cache_hits, want.reuse.net_cache_hits)
-            << pctx;
-        EXPECT_EQ(got.reuse.net_cache_misses, want.reuse.net_cache_misses)
-            << pctx;
-        if (threads == 1) {
-          losers1 = losers;
-          total_batches += got.reuse.spec_batches;
-        } else {
-          EXPECT_EQ(losers, losers1) << pctx << ": loser schedule must be "
-                                     << "thread-count invariant";
-        }
-        if (level == 0) {
-          // Single folding cycle: batch ordinals never reset, so the
-          // loser log must be grouped by batch with members re-routed in
-          // strictly increasing net order inside each batch.
-          for (std::size_t i = 1; i < losers.size(); ++i) {
-            EXPECT_GE(losers[i].first, losers[i - 1].first) << pctx;
-            if (losers[i].first == losers[i - 1].first)
-              EXPECT_GT(losers[i].second, losers[i - 1].second) << pctx;
-          }
-        }
-      }
-    }
-  }
-  // The sweep must actually exercise multi-net batches, or the identity
-  // claim proves nothing about the parallel phase. (Commit-time losers
-  // are forced deterministically by the dispersed-contention test below.)
-  EXPECT_GT(total_batches, 0);
-}
-
-TEST(PathFinderSpeculative, DispersedContendingNetsConflictAtCommit) {
-  // Four bbox-disjoint nets on a global-only fabric. Iteration 1 batches
-  // all four (terminal boxes are pairwise disjoint), but each row's pair
-  // shares that row's single capacity-1 global line — whose anchor
-  // (x = 0) lies outside the right-hand net's terminal box, so the
-  // scheduler cannot see the collision up front. The left net of each
-  // pair commits first and wins; the right net's read-set certificate
-  // watches the clamped overuse on the shared line flip 0 -> 1, discards
-  // the speculative tree, and falls back to a live sequential search.
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  arch.direct_links_per_side = 0;
-  arch.len1_tracks = 0;
-  arch.len4_tracks = 0;
-  arch.global_tracks = 1;
-  ClusteredDesign cd = synthetic(24, 1,
-                                 {net(0, 0, 0, {2}), net(1, 0, 5, {7}),
-                                  net(2, 0, 16, {18}), net(3, 0, 20, {22})});
-  Placement p = row_placement(24, 8);
-  RrGraph rr(p.grid, arch);
-  RouterOptions off;
-  off.speculative = false;
-  const RoutingResult want = route_design(cd, p, rr, off);
-  ASSERT_TRUE(want.success) << want.overused_nodes << " overused";
-  EXPECT_EQ(want.reuse.spec_batches, 0);
-  EXPECT_EQ(want.reuse.spec_conflicts, 0);
-  std::vector<std::pair<int, int>> losers1;
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    RouterOptions on;
-    std::vector<std::pair<int, int>> losers;
-    on.spec_loser_log = &losers;
-    const RoutingResult got = route_design(cd, p, rr, on, &pool);
-    const std::string ctx = "pool " + std::to_string(threads);
-    expect_identical(got, want, ctx);
-    EXPECT_GT(got.reuse.spec_batches, 0) << ctx;
-    EXPECT_GT(got.reuse.spec_conflicts, 0) << ctx;
-    ASSERT_FALSE(losers.empty()) << ctx;
-    // Losers re-route grouped by batch, in net order inside each batch.
-    for (std::size_t i = 1; i < losers.size(); ++i) {
-      EXPECT_GE(losers[i].first, losers[i - 1].first) << ctx;
-      if (losers[i].first == losers[i - 1].first)
-        EXPECT_GT(losers[i].second, losers[i - 1].second) << ctx;
-    }
-    if (threads == 1) {
-      losers1 = losers;
-    } else {
-      EXPECT_EQ(losers, losers1)
-          << ctx << ": loser schedule must be thread-count invariant";
-    }
-  }
-  std::string why;
-  EXPECT_TRUE(validate_routing(cd, p, rr, want, &why)) << why;
-}
-
-TEST(PathFinderSpeculative, GlobalLineMasksKeepDistantFootprintsDisjoint) {
-  // Regression for the global-line anchoring bug: a global line's RR node
-  // anchors at x/y = 0, and folding that anchor into a tree's bounding
-  // box stretched every global-bearing footprint to the fabric edge,
-  // serializing iteration >= 2 batches on global-heavy circuits. Global
-  // lines now land in per-axis row/column masks instead, so two trees in
-  // opposite quadrants batch together as long as their spanned rows and
-  // columns differ.
-  NetFootprint a;  // quadrant near the origin, globals on row 6 / col 1
-  a.min_x = 1, a.max_x = 5, a.min_y = 1, a.max_y = 6;
-  a.global_rows = 1ull << 6;
-  a.global_cols = 1ull << 1;
-  NetFootprint b;  // far quadrant, globals on row 9 / col 14
-  b.min_x = 9, b.max_x = 14, b.min_y = 9, b.max_y = 12;
-  b.global_rows = 1ull << 9;
-  b.global_cols = 1ull << 14;
-  EXPECT_FALSE(a.overlaps(b));
-  EXPECT_EQ(speculative_batch_ends({a, b}, 8), (std::vector<int>{2}));
-
-  // Sharing one global row forces a clash even with disjoint boxes...
-  NetFootprint c = b;
-  c.global_rows = 1ull << 6;  // same row as a
-  EXPECT_TRUE(a.overlaps(c));
-  EXPECT_EQ(speculative_batch_ends({a, c}, 8), (std::vector<int>{1, 2}));
-  // ...including through the conservative mod-64 alias of the mask.
-  NetFootprint d = b;
-  d.global_rows = 1ull << (70 % 64);  // row 70 aliases row 6
-  EXPECT_TRUE(a.overlaps(d));
-
-  // A mask-only footprint (empty box: max < min) conflicts exactly on
-  // its global lines — the empty box itself overlaps nothing.
-  NetFootprint g;
-  g.global_cols = 1ull << 1;  // same column as a
-  EXPECT_TRUE(a.overlaps(g));
-  EXPECT_FALSE(b.overlaps(g));
-}
-
-TEST(PathFinderSpeculative, GlobalHeavyReripsStillBatchAcrossRows) {
-  // End-to-end companion to the mask regression above: the dispersed
-  // four-net scenario re-rips both pairs after iteration 1 (each pair
-  // shares its row's capacity-1 global line), and from iteration 2 on
-  // the footprints are committed *trees* containing global lines. With
-  // the old anchoring every such tree's box hit the fabric edge and all
-  // re-rips serialized (exactly one multi-net batch, from iteration 1's
-  // terminal boxes); with row/column masks the row-0 and row-2 nets
-  // keep batching, so multi-net batches outnumber the terminal one.
-  ArchParams arch = ArchParams::paper_instance_unbounded_k();
-  arch.direct_links_per_side = 0;
-  arch.len1_tracks = 0;
-  arch.len4_tracks = 0;
-  arch.global_tracks = 1;
-  ClusteredDesign cd = synthetic(24, 1,
-                                 {net(0, 0, 0, {2}), net(1, 0, 5, {7}),
-                                  net(2, 0, 16, {18}), net(3, 0, 20, {22})});
-  Placement p = row_placement(24, 8);
-  RrGraph rr(p.grid, arch);
-  RouterOptions off;
-  off.speculative = false;
-  const RoutingResult want = route_design(cd, p, rr, off);
-  ASSERT_TRUE(want.success) << want.overused_nodes << " overused";
-  ThreadPool pool(4);
-  const RoutingResult got = route_design(cd, p, rr, {}, &pool);
-  expect_identical(got, want, "global-heavy re-rips");
-  EXPECT_GE(got.reuse.spec_batches, 2)
-      << "tree footprints with global lines must stay batchable";
 }
 
 TEST(PathFinderNetCache, SharedGeometryAcrossDifferentCyclesHitsTheCache) {

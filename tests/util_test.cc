@@ -111,6 +111,16 @@ TEST(Strings, ParseIntInvalidThrows) {
   EXPECT_THROW(parse_int("4x", "t"), InputError);
   EXPECT_THROW(parse_int("", "t"), InputError);
   EXPECT_THROW(parse_int("abc", "t"), InputError);
+  EXPECT_THROW(parse_int("4294967338", "t"), InputError);  // 2^32 + 42
+}
+
+TEST(Strings, ParseU64) {
+  EXPECT_EQ(parse_u64("18446744073709551615", "t"), ~std::uint64_t{0});
+  EXPECT_EQ(parse_u64("0", "t"), 0u);
+  EXPECT_THROW(parse_u64("-1", "t"), InputError);
+  EXPECT_THROW(parse_u64("18446744073709551616", "t"), InputError);
+  EXPECT_THROW(parse_u64("7s", "t"), InputError);
+  EXPECT_THROW(parse_u64("", "t"), InputError);
 }
 
 TEST(Strings, ParseDouble) {

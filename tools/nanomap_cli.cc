@@ -27,8 +27,6 @@
 //                     changes results, only wall-clock time)
 //   --restarts N      independent placement restarts (best placement wins)
 //   --route-batch N   nets per PathFinder rip-up batch (1 = sequential)
-//   --route-spec[=off] speculative parallel routing of the sequential
-//                     schedule (default on; results identical either way)
 //   --explore[=serial|parallel]
 //                     evaluate ALL candidate folding levels as flow jobs
 //                     (concurrent chains in parallel mode, the default)
@@ -68,6 +66,7 @@
 #include <string>
 
 #include "util/fault.h"
+#include "util/strings.h"
 #include "util/trace.h"
 
 #include "flow/explore.h"
@@ -91,7 +90,7 @@ int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
                "at|delay|area|both] [--area N] [--delay NS] [--level L] "
                "[--k N] [--defects FILE|seed=S,le=R,smb=R,wire=R] "
                "[--no-share] [--seed S] [--threads N] "
-               "[--restarts N] [--route-batch N] [--route-spec[=off]] "
+               "[--restarts N] [--route-batch N] "
                "[--explore[=serial|parallel]] [--pareto] [--out FILE] "
                "[--blif-out FILE] [--report] [--report=json FILE] "
                "[--trace] [--explain-failure] "
@@ -137,6 +136,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value must parse whole with `parse` (util/strings.h);
+    // anything else is a bad command line, like a missing value.
+    auto number = [&](auto parse) {
+      const std::string v = next();
+      try {
+        return parse(v, arg);
+      } catch (const InputError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+      }
+    };
     if (is_help(arg)) {
       return usage(argv[0], stdout, 0);
     } else if (arg == "--objective") {
@@ -147,13 +157,13 @@ int main(int argc, char** argv) {
       else if (v == "both") opts.objective = Objective::kMeetBoth;
       else return usage(argv[0]);
     } else if (arg == "--area") {
-      opts.area_constraint_le = std::atoi(next().c_str());
+      opts.area_constraint_le = number(parse_int);
     } else if (arg == "--delay") {
-      opts.delay_constraint_ns = std::atof(next().c_str());
+      opts.delay_constraint_ns = number(parse_double);
     } else if (arg == "--level") {
-      opts.forced_folding_level = std::atoi(next().c_str());
+      opts.forced_folding_level = number(parse_int);
     } else if (arg == "--k") {
-      opts.arch.num_reconf = std::atoi(next().c_str());
+      opts.arch.num_reconf = number(parse_int);
     } else if (arg == "--arch") {
       try {
         opts.arch = parse_arch_file(next(), opts.arch);
@@ -177,17 +187,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-share") {
       opts.planes_share = false;
     } else if (arg == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      opts.seed = number(parse_u64);
     } else if (arg == "--threads") {
-      opts.threads = std::atoi(next().c_str());
+      opts.threads = number(parse_int);
     } else if (arg == "--restarts") {
-      opts.placement.restarts = std::atoi(next().c_str());
+      opts.placement.restarts = number(parse_int);
     } else if (arg == "--route-batch") {
-      opts.router.batch_size = std::atoi(next().c_str());
-    } else if (arg == "--route-spec") {
-      opts.router.speculative = true;
-    } else if (arg == "--route-spec=off") {
-      opts.router.speculative = false;
+      opts.router.batch_size = number(parse_int);
     } else if (arg == "--explore" || arg == "--explore=parallel") {
       explore_enabled = true;
       eopts.mode = ExploreMode::kParallel;

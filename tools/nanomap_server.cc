@@ -34,6 +34,7 @@
 #include <iostream>
 #include <string>
 
+#include "util/strings.h"
 #include "util/trace.h"
 
 #include "arch/arch_file.h"
@@ -70,19 +71,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value must parse whole with `parse` (util/strings.h);
+    // anything else is a bad command line, like a missing value.
+    auto number = [&](auto parse) {
+      const std::string v = next();
+      try {
+        return parse(v, arg);
+      } catch (const InputError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       return usage(argv[0], stdout, 0);
     } else if (arg == "--workers") {
-      opts.workers = std::atoi(next().c_str());
+      opts.workers = number(parse_int);
       if (opts.workers < 1) {
         std::fprintf(stderr, "--workers must be >= 1\n");
         return 2;
       }
     } else if (arg == "--threads") {
-      opts.threads = std::atoi(next().c_str());
+      opts.threads = number(parse_int);
     } else if (arg == "--seed") {
-      opts.default_seed =
-          static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      opts.default_seed = number(parse_u64);
     } else if (arg == "--arch") {
       try {
         opts.base_arch = parse_arch_file(next(), opts.base_arch);
