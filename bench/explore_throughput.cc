@@ -108,7 +108,6 @@ std::string fold_fingerprint(const ExploreResult& ex) {
   add_int(ex.explore.warm_starts);
   for (const ExploreCandidateOutcome& o : ex.explore.outcomes) {
     add_int(o.warm_schedule ? 1 : 0);
-    add_int(o.warm_route_state ? 1 : 0);
     add_int(o.on_pareto_front ? 1 : 0);
     add_int(o.winner ? 1 : 0);
     fp += o.label;

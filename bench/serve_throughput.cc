@@ -120,6 +120,7 @@ int main(int argc, char** argv) {
                     "one traced job, one malformed line");
   w.field("threads", kThreads);
   w.field("hardware_threads", ThreadPool::hardware_threads());
+  w.field("build_type", NANOMAP_BUILD_TYPE);
   w.field("smoke", smoke);
   w.key("rows");
   w.begin_array();

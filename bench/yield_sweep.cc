@@ -26,6 +26,7 @@
 #include "flow/nanomap_flow.h"
 #include "route/rr_graph.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 using namespace nanomap;
 
@@ -173,6 +174,8 @@ int main(int argc, char** argv) {
   w.field("defect_model",
           "seeded Bernoulli per resource: le_rate = wire_rate = rate, "
           "smb_rate = rate / 4 (arch/defect.h)");
+  w.field("hardware_threads", ThreadPool::hardware_threads());
+  w.field("build_type", NANOMAP_BUILD_TYPE);
   w.field("smoke", smoke);
   w.key("rows");
   w.begin_array();

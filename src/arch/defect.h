@@ -13,9 +13,9 @@
 //
 // Determinism contract: a spec with all rates zero and no loaded map is
 // inactive and must leave every stage byte-identical to the defect-free
-// flow. An *active* spec contributes its content signature to the RR
-// graph's compat_sig so route caches can never replay a path through a
-// newly-defective resource.
+// flow. An *active* spec contributes its content signature to the serving
+// layer's arch and RR-graph cache keys (src/serve/cache.h), so a cached
+// graph is never shared across differing defect maps.
 //
 // This header is included by arch/nature.h; it must not include it back.
 // All queries therefore take plain ints and the local wire-kind enum.
@@ -79,8 +79,9 @@ bool defect_smb_dead(const DefectSpec& spec, int x, int y);
 bool defect_le_dead(const DefectSpec& spec, int x, int y, int slot);
 // Number of broken tracks in the channel (kind, x, y, dir) out of
 // `tracks` physical tracks. Monotone in `tracks` for both generated and
-// loaded specs: widening a channel never loses a surviving track, so
-// in-place RR widening agrees with a fresh build at the widened arch.
+// loaded specs: widening a channel never loses a surviving track, so a
+// recovery-ladder channel rung never has less capacity than the rung
+// below it.
 int defect_broken_tracks(const DefectSpec& spec, DefectWireKind kind, int x,
                          int y, int dir, int tracks);
 

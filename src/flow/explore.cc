@@ -57,10 +57,7 @@ std::vector<CandidatePoint> enumerate_candidates(
 
 // Chains of candidates that may legally share warm-start state: same
 // folding level, arch equal in everything but the channel track counts.
-// Chain members donate the schedule, the RR graph + cycle cache (under
-// the strict identity rules in nanomap_flow.h), and — unconditionally —
-// the router's per-net geometric cache, which self-validates per use and
-// so survives placement and channel-width differences between siblings.
+// Chain members donate the schedule (nanomap_flow.h, FlowWarmStart).
 // Grouping is a pure function of the candidate list (first-match in index
 // order), so chain shapes — and with them every warm-start decision — are
 // identical in serial and parallel mode. With warm starts off every
@@ -249,10 +246,8 @@ ExploreResult run_nanomap_explore(const Design& design,
         o.delay_ns = r.delay_ns;
         o.area_delay_product = r.area_delay_product();
         o.warm_schedule = warm.stats.schedule_reused;
-        o.warm_route_state = warm.stats.route_state_adopted;
         o.cpu_seconds = r.cpu_seconds;
-        if (o.warm_schedule || o.warm_route_state)
-          NM_TRACE_COUNT("explore.warm_starts", 1);
+        if (o.warm_schedule) NM_TRACE_COUNT("explore.warm_starts", 1);
       }
     };
 
@@ -295,7 +290,7 @@ ExploreResult run_nanomap_explore(const Design& design,
         true;
   for (ExploreCandidateOutcome& o : out.explore.outcomes) {
     if (o.feasible) ++out.explore.feasible_candidates;
-    if (o.warm_schedule || o.warm_route_state) ++out.explore.warm_starts;
+    if (o.warm_schedule) ++out.explore.warm_starts;
   }
   if (out.winner_index >= 0)
     out.explore.outcomes[static_cast<std::size_t>(out.winner_index)].winner =

@@ -59,7 +59,7 @@ struct ExploreOptions {
   // Fabric variants crossed with every level (see FabricVariant).
   std::vector<FabricVariant> variants;
 
-  // Donate schedule + routing state along admissible chains. Off = every
+  // Donate the schedule along admissible chains. Off = every
   // candidate runs cold (results are byte-identical either way; the knob
   // exists for benchmarking and for the warm-vs-cold identity tests).
   bool warm_start = true;

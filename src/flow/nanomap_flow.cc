@@ -25,11 +25,6 @@ constexpr std::uint64_t kReseedStreamBase = 0x5eedu;
 // explorer can snapshot/donate one).
 using Candidate = ScheduledCandidate;
 
-bool placements_equal(const Placement& a, const Placement& b) {
-  return a.grid.width == b.grid.width && a.grid.height == b.grid.height &&
-         a.site_of_smb == b.site_of_smb;
-}
-
 std::string fmt(double v) {
   std::ostringstream os;
   os << v;
@@ -371,12 +366,8 @@ class FlowEngine {
   // set when a rung died on an exception (already recorded), which aborts
   // the level instead of climbing further.
   //
-  // The RR graph and the router's cycle cache persist across rungs:
-  // budget rungs re-route on the very same graph, channel rungs widen it
-  // in place (same node ids, bumped capacity epoch), and folding cycles
-  // whose replay is provably identical are served from the RouteState
-  // instead of re-negotiated. Both are scoped to this climb — an
-  // abandoned or faulted climb drops all incremental state with them.
+  // Rungs route cold. Budget rungs reuse the previous rung's RR graph
+  // (same arch); a channel rung builds a fresh graph for its own arch.
   // `rungs` is the slice of the ladder this climb covers and `rung_offset`
   // its index into the full ladder (0 for the classic whole-ladder climb;
   // the budget count when the defect-aware finish() climbs the channel
@@ -390,32 +381,6 @@ class FlowEngine {
     *fatal = false;
     NM_TRACE_SPAN("route");
     std::optional<RrGraph> rr;
-    RouteState route_state;
-    // Warm start: adopt the donor's RR graph + cycle cache when this
-    // placement is byte-identical to the one they were built against and
-    // the graph can be widened in place to rung 0's arch (after which the
-    // PR 6 replay admissibility rules guarantee byte-identical routing).
-    // The RouteState itself rides along even when the graph cannot: its
-    // cycle entries are keyed by graph uid (they simply stop matching)
-    // and its per-net entries by geometry + compat signature with live
-    // admission checks, so a chain sibling with a different placement or
-    // channel widths still harvests every still-valid net route. The
-    // donor slot is consumed either way — on success this climb's final
-    // state is published back for the next chain member.
-    if (warm_) {
-      if (warm_->rr_valid) {
-        route_state = std::move(warm_->route_state);
-        if (warm_->rr &&
-            placements_equal(placed.placement, warm_->rr_placement) &&
-            can_widen_in_place(warm_->rr->arch(), rungs.front().arch)) {
-          rr = std::move(warm_->rr);
-          warm_->stats.route_state_adopted = true;
-        }
-      }
-      warm_->rr.reset();
-      warm_->route_state = RouteState{};
-      warm_->rr_valid = false;
-    }
     auto tracks_differ = [](const ArchParams& a, const ArchParams& b) {
       return a.direct_links_per_side != b.direct_links_per_side ||
              a.len1_tracks != b.len1_tracks ||
@@ -425,27 +390,20 @@ class FlowEngine {
     for (std::size_t r = 0; r < rungs.size(); ++r) {
       const RouteRung& rung = rungs[r];
       int rr_nodes = 0;
-      // Graph builds go through the shared prototype cache when the
-      // caller installed one (flow-as-a-service); the copy handed out is
-      // indistinguishable from a fresh build, so the ladder widens it in
-      // place exactly as before.
-      auto build_rr = [&](const GridSize& grid, const ArchParams& arch) {
-        return options_.rr_provider != nullptr
-                   ? options_.rr_provider->make(grid, arch)
-                   : RrGraph(grid, arch);
-      };
       bool ok = guard("route", cand.level, attempt, [&] {
-        if (!rr) {
-          rr = build_rr(placed.placement.grid, rung.arch);
-        } else if (!can_widen_in_place(rr->arch(), rung.arch)) {
-          // full rebuild
-          rr = build_rr(placed.placement.grid, rung.arch);
-        } else if (tracks_differ(rr->arch(), rung.arch)) {
-          rr->widen_channels(rung.arch);
+        if (!rr || tracks_differ(rr->arch(), rung.arch) ||
+            !arch_equal_ignoring_channel_tracks(rr->arch(), rung.arch)) {
+          // Graph builds go through the shared prototype cache when the
+          // caller installed one (flow-as-a-service); the copy handed out
+          // is indistinguishable from a fresh build.
+          rr = options_.rr_provider != nullptr
+                   ? options_.rr_provider->make(placed.placement.grid,
+                                                rung.arch)
+                   : RrGraph(placed.placement.grid, rung.arch);
         }
         rr_nodes = rr->size();
         *routed = route_design(cand.clustered, placed.placement, *rr,
-                               rung.router, &pool_, &route_state);
+                               rung.router, &pool_);
       });
       if (!ok) {
         *fatal = true;
@@ -469,22 +427,9 @@ class FlowEngine {
                       (attempt > 0
                            ? ", reseeded placement " + std::to_string(attempt)
                            : "") +
-                      ", reused " +
-                      std::to_string(routed->reuse.cycles_reused) + " of " +
-                      std::to_string(routed->reuse.cycles_total) +
-                      " cycles / " +
-                      std::to_string(routed->reuse.nets_reused) +
-                      " nets, skipped " +
-                      std::to_string(routed->reuse.nets_skipped) +
-                      " repeat searches)"});
+                      ")"});
         *arch_used = rung.arch;
         *router_used = rung.router;
-        if (warm_) {
-          warm_->rr = std::move(rr);
-          warm_->route_state = std::move(route_state);
-          warm_->rr_placement = placed.placement;
-          warm_->rr_valid = true;
-        }
         return true;
       }
       record({"route", cand.level, attempt,

@@ -97,10 +97,7 @@ struct ExploreCandidateOutcome {
   int num_cycles = 0;
   double delay_ns = 0.0;
   double area_delay_product = 0.0;
-  bool warm_schedule = false;     // schedule+cluster adopted from a donor
-  bool warm_route_state = false;  // RR graph + cycle cache adopted
-                                  // (the per-net route cache also rides
-                                  // along chains without this being set)
+  bool warm_schedule = false;  // schedule+cluster adopted from a donor
   bool on_pareto_front = false;
   bool winner = false;
   double cpu_seconds = 0.0;  // wall-clock; masked by to_json(false)
@@ -110,13 +107,13 @@ struct ExploreCandidateOutcome {
 // the enclosing RunReport schema (adding this section is a
 // backward-compatible RunReport change, so kSchemaVersion stays 1).
 struct ExploreReport {
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
   int version = kSchemaVersion;
   std::string mode;          // "serial" | "parallel"
   int candidates = 0;
   int feasible_candidates = 0;
-  int warm_starts = 0;       // candidates that adopted any donor state
+  int warm_starts = 0;       // candidates that adopted a donor schedule
   int winner_index = -1;     // -1: no feasible candidate
   double wall_seconds = 0.0;  // whole-explore wall clock; masked
   std::vector<ExploreCandidateOutcome> outcomes;  // fixed candidate order
@@ -222,13 +219,10 @@ struct RecoveryOptions {
 // Factory hook for RR graphs, the flow-as-a-service shared-cache seam
 // (src/serve/cache.h implements it). make() must return a graph
 // indistinguishable from RrGraph(grid, arch) — same nodes, edges, delays,
-// costs and capacities — that the flow owns outright and may mutate
-// (the recovery ladder widens channels in place), so a caching provider
-// hands out *copies* of an immutable prototype, never the prototype
-// itself. Result-neutral by construction: only the graph's uid (a pure
-// cache key for RouteState, never an input to routing decisions) may
-// differ from a fresh build. Implementations must be thread-safe —
-// concurrent jobs share one provider.
+// costs and capacities — that the flow owns outright, so a caching
+// provider hands out *copies* of an immutable prototype, never the
+// prototype itself. Result-neutral by construction. Implementations must
+// be thread-safe — concurrent jobs share one provider.
 class RrGraphProvider {
  public:
   virtual ~RrGraphProvider() = default;
@@ -376,8 +370,7 @@ struct ScheduledCandidate {
 // run_nanomap_job; deterministic (a function of the donor/candidate pair,
 // never of timing), so it is safe to report and test against.
 struct WarmStartStats {
-  bool schedule_reused = false;     // schedule + clustering copied over
-  bool route_state_adopted = false; // RR graph + cycle cache carried over
+  bool schedule_reused = false;  // schedule + clustering copied over
 };
 
 // True when two arch configs agree on everything the scheduling,
@@ -397,26 +390,11 @@ bool arch_equal_ignoring_channel_tracks(const ArchParams& a,
 //    channel track counts (scheduling, clustering and the delay estimate
 //    never read those), else recomputed — so adoption is result-neutral
 //    by construction.
-//  * rr: adopted only when the candidate's placement is byte-identical
-//    to rr_placement AND the donor graph can be widened in place to the
-//    candidate's arch (can_widen_in_place: donor tracks <= candidate
-//    tracks, everything else equal). The graph is then widened to the
-//    candidate's *exact* capacities and the PR 6 replay admissibility
-//    rules take over, so a warm route is byte-identical to a cold one.
-//  * route_state: always adopted from a valid donor. Cycle entries are
-//    keyed by graph uid, so without the donor graph they simply stop
-//    matching; the per-net geometric cache (DESIGN.md §5i) is keyed by
-//    net geometry + graph compat signature and re-validated against live
-//    occupancy at every use, so it transfers across placements and
-//    channel variants while staying result-neutral by construction.
+//
+// Placement and routing always run cold.
 struct FlowWarmStart {
   ScheduledCandidate schedule;
   ArchParams schedule_arch;  // arch `schedule` was computed under
-
-  std::optional<RrGraph> rr;      // donor RR graph (winning rung)
-  RouteState route_state;         // donor cycle cache for `rr`
-  Placement rr_placement;         // placement `rr`/`route_state` assume
-  bool rr_valid = false;
 
   WarmStartStats stats;  // what the *last* job adopted; reset per job
 };

@@ -175,7 +175,6 @@ std::string RunReport::to_json(bool include_timings, bool compact) const {
       w.field("delay_ns", o.delay_ns);
       w.field("area_delay_product", o.area_delay_product);
       w.field("warm_schedule", o.warm_schedule);
-      w.field("warm_route_state", o.warm_route_state);
       w.field("on_pareto_front", o.on_pareto_front);
       w.field("winner", o.winner);
       w.field("cpu_seconds", include_timings ? o.cpu_seconds : 0.0);

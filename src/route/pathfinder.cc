@@ -1,27 +1,9 @@
-// Incremental PathFinder kernel. Byte-identical to the seed router (kept
-// verbatim in pathfinder_reference.cc); see DESIGN.md §5g for the replay
-// argument that justifies every skip:
-//   * An A* search's outcome is a deterministic function of the static
-//     graph, the sink sequence, and the costs of exactly the nodes it
-//     relaxed ("touched"). A net is re-searched only when one of those
-//     inputs can have changed: a touched node's occupancy-in-snapshot or
-//     history cost moved (tracked with monotone stamps), or the search
-//     read a present-congestion term and pres_fac has since grown.
-//   * A whole folding cycle is replayed from a RouteState cache when the
-//     graph identity and the subset of options its negotiation actually
-//     consumed are unchanged — including across in-place channel
-//     widenings, where capacity growth can only alter costs the cached
-//     negotiation never read (it converged in one iteration and never saw
-//     an over-capacity term).
-//   * A single net's congestion-clean search (read no history, no present
-//     term) is replayed from a per-net geometric cache whenever its whole
-//     read-set is still clean — across cycles, calls and compat-equal
-//     graphs (DESIGN.md §5i).
+// PathFinder negotiated-congestion router (see pathfinder.h): the seed
+// algorithm, one sequential negotiation per folding cycle.
 #include "route/pathfinder.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <queue>
@@ -30,10 +12,6 @@
 #include "util/fault.h"
 #include "util/log.h"
 #include "util/trace.h"
-
-#ifdef NANOMAP_AUDIT_ROUTE
-#include "route/pathfinder_reference.h"
-#endif
 
 namespace nanomap {
 namespace {
@@ -65,37 +43,15 @@ struct SearchState {
         in_tree(static_cast<std::size_t>(nodes), 0) {}
 };
 
-// Sink SMBs of one net ordered farthest-from-driver first (classic
-// heuristic), ties by SMB index — a pure function of the placement, so
-// it is computed once per net per route_design call.
-std::vector<int> sinks_farthest_first(const ClusteredDesign& cd,
-                                      const Placement& placement,
-                                      int net_index) {
-  const PlacedNet& pn = cd.nets[static_cast<std::size_t>(net_index)];
-  const int sx = placement.x_of(pn.driver_smb);
-  const int sy = placement.y_of(pn.driver_smb);
-  std::vector<int> sinks = pn.sink_smbs;
-  std::sort(sinks.begin(), sinks.end(), [&](int a, int b) {
-    int da = std::abs(placement.x_of(a) - sx) +
-             std::abs(placement.y_of(a) - sy);
-    int db = std::abs(placement.x_of(b) - sx) +
-             std::abs(placement.y_of(b) - sy);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  return sinks;
-}
-
 class CycleRouter {
  public:
   CycleRouter(const ClusteredDesign& cd, const Placement& placement,
               const RrGraph& rr, const RouterOptions& options,
-              ThreadPool* pool, RouteState* state)
+              ThreadPool* pool)
       : cd_(cd), placement_(placement), rr_(rr), options_(options),
-        pool_(pool), state_(state) {
+        pool_(pool) {
     occ_.assign(static_cast<std::size_t>(rr.size()), 0);
     hist_.assign(static_cast<std::size_t>(rr.size()), 0.0);
-    node_stamp_.assign(static_cast<std::size_t>(rr.size()), 0);
   }
 
   // Routes all nets of one folding cycle; returns residual overuse count.
@@ -106,279 +62,113 @@ class CycleRouter {
   // Batch composition depends only on net order and options.batch_size,
   // and each reroute reads only the frozen snapshot plus its private
   // SearchState — so the result is identical at any thread count, and
-  // batch_size = 1 reproduces the classical sequential PathFinder
-  // negotiation exactly.
-  //
-  // Incremental skip: a batch member whose last search provably reads the
-  // same costs again (no touched node re-stamped, no pres_fac sensitivity)
-  // keeps its previous tree and NetRoute instead of re-running A* — the
-  // rip-up/commit of its unchanged occupancy still happens, so every other
-  // net sees exactly the snapshot the seed router would produce.
+  // batch_size = 1 is the classical sequential PathFinder negotiation.
   long route_cycle(const std::vector<int>& net_indices,
-                   const std::vector<std::vector<int>>& sorted_sinks,
-                   const std::vector<std::vector<std::int64_t>>& net_sigs,
                    std::vector<NetRoute>* out, int* iterations_used,
-                   RouteReuseStats* stats, bool* cycle_saw_over) {
+                   RouteReuseStats* stats) {
     const int num_nets = static_cast<int>(net_indices.size());
     std::vector<std::vector<int>> trees(net_indices.size());
     std::vector<NetRoute> routes(net_indices.size());
+    // Sink order (farthest-first) depends only on the fixed placement, so
+    // sort once per net here instead of on every rip-up/reroute iteration.
+    std::vector<std::vector<int>> sorted_sinks(net_indices.size());
+    for (std::size_t ni = 0; ni < net_indices.size(); ++ni)
+      sorted_sinks[ni] = sinks_farthest_first(net_indices[ni]);
     const int batch = std::max(1, options_.batch_size);
     std::vector<std::unique_ptr<SearchState>> states(
         static_cast<std::size_t>(std::min(batch, std::max(num_nets, 1))));
 
-    touched_.assign(net_indices.size(), {});
-    routed_stamp_.assign(net_indices.size(), -1);
-    searched_pres_fac_.assign(net_indices.size(), 0.0);
-    net_saw_pres_.assign(net_indices.size(), 0);
-    net_saw_hist_.assign(net_indices.size(), 0);
-    std::vector<char> dirty(static_cast<std::size_t>(batch), 1);
-    std::vector<char> from_cache(static_cast<std::size_t>(batch), 0);
-    std::vector<std::vector<int>> old_trees(static_cast<std::size_t>(batch));
-    bool saw_over = false;
-
     double pres_fac = options_.initial_pres_fac;
-
     long overused = 0;
     int iter = 0;
     for (iter = 1; iter <= options_.max_iterations; ++iter) {
-      // Occupancy-wise every net is still ripped up and recommitted each
-      // iteration (that is what keeps the snapshots seed-identical); only
-      // the A* searches are skipped.
+      // Every iteration rips up and reroutes all num_nets nets.
       NM_TRACE_VALUE("route.rip_ups_per_iter", num_nets);
+      NM_TRACE_COUNT("route.reroutes", num_nets);
+      stats->nets_rerouted += num_nets;
       for (int start = 0; start < num_nets; start += batch) {
         const int bn = std::min(batch, num_nets - start);
-        int dirty_count = 0;
-        for (int k = 0; k < bn; ++k) {
-          const std::size_t ni = static_cast<std::size_t>(start + k);
-          dirty[static_cast<std::size_t>(k)] = is_dirty(ni, pres_fac) ? 1 : 0;
-          dirty_count += dirty[static_cast<std::size_t>(k)];
-        }
-        NM_TRACE_COUNT("route.reroutes", dirty_count);
-        stats->nets_rerouted += dirty_count;
-        stats->nets_skipped += bn - dirty_count;
-        for (int k = 0; k < bn; ++k) {
-          for (int n : trees[static_cast<std::size_t>(start + k)])
-            --occ_[static_cast<std::size_t>(n)];
-          if (dirty[static_cast<std::size_t>(k)]) {
-            old_trees[static_cast<std::size_t>(k)] =
-                std::move(trees[static_cast<std::size_t>(start + k)]);
-            trees[static_cast<std::size_t>(start + k)].clear();
-          }
-        }
-        // The search: the per-net cache first, A* on a miss.
-        const std::int64_t search_stamp = stamp_;
+        for (int k = 0; k < bn; ++k)
+          rip_up(trees[static_cast<std::size_t>(start + k)]);
         pool_for_each(pool_, bn, [&](int k) {
-          if (!dirty[static_cast<std::size_t>(k)]) return;
           const std::size_t ni = static_cast<std::size_t>(start + k);
           std::unique_ptr<SearchState>& state =
               states[static_cast<std::size_t>(k)];
           if (!state) state = std::make_unique<SearchState>(rr_.size());
-          const bool hit = try_net_cache(
-              net_sigs[ni], net_indices[ni], sorted_sinks[ni], &routes[ni],
-              &trees[ni], &touched_[ni], &net_saw_pres_[ni],
-              &net_saw_hist_[ni]);
-          if (!hit)
-            routes[ni] = route_net(net_indices[ni], sorted_sinks[ni],
-                                   pres_fac, &trees[ni], state.get(),
-                                   &touched_[ni], &net_saw_pres_[ni],
-                                   &net_saw_hist_[ni]);
-          from_cache[static_cast<std::size_t>(k)] = hit ? 1 : 0;
-          routed_stamp_[ni] = search_stamp;
-          searched_pres_fac_[ni] = pres_fac;
+          routes[ni] = route_net(net_indices[ni], sorted_sinks[ni],
+                                 pres_fac, &trees[ni], state.get());
         });
-        ++stamp_;
-        for (int k = 0; k < bn; ++k) {
-          const std::size_t ni = static_cast<std::size_t>(start + k);
-          if (dirty[static_cast<std::size_t>(k)]) {
-            if (from_cache[static_cast<std::size_t>(k)]) {
-              ++stats->net_cache_hits;
-              NM_TRACE_COUNT("route.net_cache_hits", 1);
-            } else {
-              ++stats->net_cache_misses;
-              NM_TRACE_COUNT("route.net_cache_misses", 1);
-            }
-            mark_diff(old_trees[static_cast<std::size_t>(k)], trees[ni]);
-            if (net_saw_pres_[ni]) saw_over = true;
-          }
-          for (int n : trees[ni]) ++occ_[static_cast<std::size_t>(n)];
-        }
+        for (int k = 0; k < bn; ++k)
+          for (int n : trees[static_cast<std::size_t>(start + k)])
+            ++occ_[static_cast<std::size_t>(n)];
       }
       overused = 0;
-      ++stamp_;
       for (int n = 0; n < rr_.size(); ++n) {
         int over = occ_[static_cast<std::size_t>(n)] -
                    rr_.node(n).capacity;
         if (over > 0) {
           ++overused;
           hist_[static_cast<std::size_t>(n)] += options_.hist_fac * over;
-          node_stamp_[static_cast<std::size_t>(n)] = stamp_;
         }
       }
       if (overused == 0) break;
       pres_fac *= options_.pres_fac_mult;
     }
     *iterations_used = std::min(iter, options_.max_iterations);
-    *cycle_saw_over = saw_over;
-
-    // Seed the per-net cache with this negotiation's congestion-clean
-    // final searches: a search that read no history and no present term
-    // consumed only the static graph and the geometry key, so any later
-    // context that is still clean on its whole read-set replays it
-    // bit-identically.
-    if (state_) {
-      for (std::size_t ni = 0; ni < net_indices.size(); ++ni) {
-        if (routed_stamp_[ni] < 0) continue;
-        if (net_saw_pres_[ni] || net_saw_hist_[ni]) continue;
-        RouteState::NetEntry e;
-        e.compat_sig = rr_.compat_sig();
-        e.capacity_epoch = rr_.capacity_epoch();
-        e.timing_driven = options_.timing_driven;
-        e.astar_weight = options_.astar_weight;
-        e.delay_norm_ps = options_.delay_norm_ps;
-        e.wire_nodes = routes[ni].wire_nodes;
-        e.sink_delay_ps = routes[ni].sink_delay_ps;
-        e.touched = touched_[ni];
-        std::sort(e.touched.begin(), e.touched.end());
-        e.touched.erase(std::unique(e.touched.begin(), e.touched.end()),
-                        e.touched.end());
-        state_->net_entries()[net_sigs[ni]] = std::move(e);
-      }
-    }
-
     out->insert(out->end(), routes.begin(), routes.end());
     return overused;
   }
 
  private:
-  // True when net slot `ni` must actually re-run A*: never searched, or
-  // its last search read a present-congestion term and pres_fac has moved
-  // since, or any node it touched was re-stamped (occupancy delta at some
-  // batch commit, or a history bump at some iteration end) after the
-  // stamp its snapshot was taken at. Marks from batches committed before
-  // the search carry stamps <= routed_stamp, so they never falsely dirty
-  // a net whose snapshot already included them.
-  bool is_dirty(std::size_t ni, double pres_fac) const {
-    if (routed_stamp_[ni] < 0) return true;
-    if (net_saw_pres_[ni] && pres_fac != searched_pres_fac_[ni]) return true;
-    const std::int64_t since = routed_stamp_[ni];
-    for (int n : touched_[ni])
-      if (node_stamp_[static_cast<std::size_t>(n)] > since) return true;
-    return false;
-  }
-
-  // Serves one search from the per-net geometric cache when the replay is
-  // provably identical to running A* right here: compatible graph and
-  // cost-shaping options, and every node of the cached read-set still
-  // clean — zero history and one more occupant within capacity, i.e. the
-  // search would again read only static costs, and being the same
-  // deterministic process on the same inputs it would retrace the cached
-  // trajectory node for node. Capacities are read live, so in-place
-  // channel widenings only ever widen admission.
-  bool try_net_cache(const std::vector<std::int64_t>& sig, int net_index,
-                     const std::vector<int>& sinks, NetRoute* route,
-                     std::vector<int>* tree, std::vector<int>* net_touched,
-                     char* saw_pres_out, char* saw_hist_out) const {
-    if (!state_) return false;
-    const auto it = state_->net_entries().find(sig);
-    if (it == state_->net_entries().end()) return false;
-    const RouteState::NetEntry& e = it->second;
-    if (e.compat_sig != rr_.compat_sig() ||
-        e.timing_driven != options_.timing_driven ||
-        e.astar_weight != options_.astar_weight ||
-        e.delay_norm_ps != options_.delay_norm_ps)
-      return false;
-    for (int n : e.touched) {
-      if (hist_[static_cast<std::size_t>(n)] != 0.0) return false;
-      if (occ_[static_cast<std::size_t>(n)] + 1 > rr_.node(n).capacity)
-        return false;
-    }
-    const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net_index)];
-    route->net_index = net_index;
-    route->sink_smbs = sinks;
-    route->sink_delay_ps = e.sink_delay_ps;
-    route->wire_nodes = e.wire_nodes;
-    // The full tree is wire nodes plus the terminal pins: an IPIN has no
-    // out-edges and an OPIN no in-edges, so neither can sit mid-path —
-    // the cached search's tree pins are exactly the driver OPIN and the
-    // sink IPINs.
-    std::vector<int> t = e.wire_nodes;
-    t.push_back(rr_.opin(placement_.x_of(pn.driver_smb),
-                         placement_.y_of(pn.driver_smb)));
-    for (int s : sinks)
-      t.push_back(rr_.ipin(placement_.x_of(s), placement_.y_of(s)));
-    std::sort(t.begin(), t.end());
-    t.erase(std::unique(t.begin(), t.end()), t.end());
-    *tree = std::move(t);
-    *net_touched = e.touched;
-    *saw_pres_out = 0;
-    *saw_hist_out = 0;
-    return true;
-  }
-
-  // Stamps every node whose occupancy contribution changed between two
-  // sorted, deduplicated trees (symmetric difference).
-  void mark_diff(const std::vector<int>& a, const std::vector<int>& b) {
-    std::size_t i = 0, j = 0;
-    while (i < a.size() || j < b.size()) {
-      if (j == b.size() || (i < a.size() && a[i] < b[j]))
-        node_stamp_[static_cast<std::size_t>(a[i++])] = stamp_;
-      else if (i == a.size() || b[j] < a[i])
-        node_stamp_[static_cast<std::size_t>(b[j++])] = stamp_;
-      else {
-        ++i;
-        ++j;
-      }
-    }
-  }
-
   // Congestion cost blended with the node's delay for critical nets
   // (timing-driven routing). The present/history congestion terms always
-  // apply so legality is never traded away. `saw_pres` / `saw_hist`
-  // (never null inside a search) record that the returned value depends
-  // on pres_fac / carries accumulated history — together they certify a
-  // search that consumed only static costs, which is what makes it
-  // cacheable per net.
-  double node_cost(int n, double pres_fac, double crit, bool* saw_pres,
-                   bool* saw_hist) const {
+  // apply so legality is never traded away.
+  double node_cost(int n, double pres_fac, double crit) const {
     const RrNode& node = rr_.node(n);
     int over = occ_[static_cast<std::size_t>(n)] + 1 - node.capacity;
-    double pres = 1.0;
-    if (over > 0) {
-      pres = 1.0 + pres_fac * over;
-      *saw_pres = true;
-    }
+    double pres = over > 0 ? 1.0 + pres_fac * over : 1.0;
     double base = node.base_cost;
     if (options_.timing_driven) {
       base = (1.0 - crit) * node.base_cost +
              crit * (node.delay_ps / options_.delay_norm_ps);
     }
-    const double h = hist_[static_cast<std::size_t>(n)];
-    if (h != 0.0) *saw_hist = true;
-    return (base + h) * pres;
+    return (base + hist_[static_cast<std::size_t>(n)]) * pres;
+  }
+
+  void rip_up(std::vector<int>& tree) {
+    for (int n : tree) --occ_[static_cast<std::size_t>(n)];
+    tree.clear();
+  }
+
+  // Sink SMBs of one net ordered farthest-from-driver first (classic
+  // heuristic), ties by SMB index — a pure function of the placement.
+  std::vector<int> sinks_farthest_first(int net_index) const {
+    const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net_index)];
+    const int sx = placement_.x_of(pn.driver_smb);
+    const int sy = placement_.y_of(pn.driver_smb);
+    std::vector<int> sinks = pn.sink_smbs;
+    std::sort(sinks.begin(), sinks.end(), [&](int a, int b) {
+      int da = std::abs(placement_.x_of(a) - sx) +
+               std::abs(placement_.y_of(a) - sy);
+      int db = std::abs(placement_.x_of(b) - sx) +
+               std::abs(placement_.y_of(b) - sy);
+      if (da != db) return da > db;
+      return a < b;
+    });
+    return sinks;
   }
 
   // Routes one net against the current occupancy/history snapshot. Reads
   // occ_/hist_ only; all mutable search state lives in `ss`, which is
   // left fully reset on return so the slot can be reused by the next
   // batch. The caller commits the returned tree's occupancy.
-  // `net_touched` receives every node any of the net's sink searches
-  // relaxed (a superset of every node whose cost was read). It is left
-  // unsorted and may hold a node once per sink search — is_dirty's linear
-  // scan tolerates duplicates, and skipping the per-net sort keeps the
-  // cold (no-reuse) path close to the seed router's cost. `saw_pres_out`
-  // records whether any read cost carried the present-congestion factor,
-  // `saw_hist_out` whether any carried nonzero history.
   NetRoute route_net(int net_index, const std::vector<int>& sinks,
                      double pres_fac, std::vector<int>* tree,
-                     SearchState* ss, std::vector<int>* net_touched,
-                     char* saw_pres_out, char* saw_hist_out) const {
+                     SearchState* ss) const {
     const PlacedNet& pn = cd_.nets[static_cast<std::size_t>(net_index)];
     const double crit = pn.criticality;
     NetRoute route;
     route.net_index = net_index;
-    net_touched->clear();
-    bool saw_pres = false;
-    bool saw_hist = false;
 
     const int sx = placement_.x_of(pn.driver_smb);
     const int sy = placement_.y_of(pn.driver_smb);
@@ -396,14 +186,12 @@ class CycleRouter {
       std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                           std::greater<QueueEntry>>
           pq;
-      // This sink's first-touches live in net_touched[sink_begin..): the
-      // suffix doubles as the reset list, so no per-sink scratch vector.
-      const std::size_t sink_begin = net_touched->size();
+      std::vector<int> touched;
       auto relax = [&](int n, double cost, int par) {
         if (cost >= ss->best_cost[static_cast<std::size_t>(n)]) return;
         if (ss->best_cost[static_cast<std::size_t>(n)] ==
             std::numeric_limits<double>::infinity())
-          net_touched->push_back(n);
+          touched.push_back(n);
         ss->best_cost[static_cast<std::size_t>(n)] = cost;
         ss->parent[static_cast<std::size_t>(n)] = par;
         const RrNode& node = rr_.node(n);
@@ -436,7 +224,7 @@ class CycleRouter {
         for (int next : node.edges) {
           relax(next,
                 ss->best_cost[static_cast<std::size_t>(n)] +
-                    node_cost(next, pres_fac, crit, &saw_pres, &saw_hist),
+                    node_cost(next, pres_fac, crit),
                 n);
         }
       }
@@ -471,11 +259,11 @@ class CycleRouter {
       route.sink_delay_ps.push_back(
           ss->delay_at[static_cast<std::size_t>(target)]);
 
-      // Reset search state; the touched suffix feeds the skip logic.
-      for (std::size_t i = sink_begin; i < net_touched->size(); ++i) {
-        const std::size_t n = static_cast<std::size_t>((*net_touched)[i]);
-        ss->best_cost[n] = std::numeric_limits<double>::infinity();
-        ss->parent[n] = -1;
+      // Reset search state.
+      for (int n : touched) {
+        ss->best_cost[static_cast<std::size_t>(n)] =
+            std::numeric_limits<double>::infinity();
+        ss->parent[static_cast<std::size_t>(n)] = -1;
       }
       // Seeds were marked in_tree only after path walk; mark all.
       for (int n : tree_nodes) ss->in_tree[static_cast<std::size_t>(n)] = 1;
@@ -492,8 +280,6 @@ class CycleRouter {
       if (t != RrType::kOpin && t != RrType::kIpin)
         route.wire_nodes.push_back(n);
     }
-    *saw_pres_out = saw_pres ? 1 : 0;
-    *saw_hist_out = saw_hist ? 1 : 0;
     *tree = tree_nodes;
     return route;
   }
@@ -503,109 +289,19 @@ class CycleRouter {
   const RrGraph& rr_;
   const RouterOptions& options_;
   ThreadPool* pool_;
-  RouteState* state_;  // per-net geometric cache (never null)
 
   std::vector<int> occ_;
   std::vector<double> hist_;
-
-  // Incremental skip state (per cycle). node_stamp_[n] is the last stamp
-  // at which node n's cost inputs possibly changed; routed_stamp_[ni] the
-  // stamp net slot ni's snapshot was taken at.
-  std::int64_t stamp_ = 0;
-  std::vector<std::int64_t> node_stamp_;
-  std::vector<std::vector<int>> touched_;
-  std::vector<std::int64_t> routed_stamp_;
-  std::vector<double> searched_pres_fac_;
-  std::vector<char> net_saw_pres_;
-  std::vector<char> net_saw_hist_;
 };
-
-// Exact geometric identity of one net's routing problem: the driver
-// coordinates, the criticality bit pattern, the sink count, and the sink
-// coordinates in the farthest-first order the router will visit them.
-// Two nets with equal signatures on compat-equal graphs pose the same
-// search problem, SMB renaming aside — this keys the per-net cache. The
-// cycle signature (cycle cache key) is the concatenation in cycle-net
-// order.
-std::vector<std::int64_t> net_signature(const ClusteredDesign& cd,
-                                        const Placement& placement,
-                                        int net_index,
-                                        const std::vector<int>& sinks) {
-  const PlacedNet& pn = cd.nets[static_cast<std::size_t>(net_index)];
-  std::vector<std::int64_t> sig;
-  sig.reserve(4 + 2 * sinks.size());
-  sig.push_back(placement.x_of(pn.driver_smb));
-  sig.push_back(placement.y_of(pn.driver_smb));
-  static_assert(sizeof(double) == sizeof(std::int64_t));
-  std::int64_t crit_bits = 0;
-  std::memcpy(&crit_bits, &pn.criticality, sizeof(crit_bits));
-  sig.push_back(crit_bits);
-  sig.push_back(static_cast<std::int64_t>(sinks.size()));
-  for (int s : sinks) {
-    sig.push_back(placement.x_of(s));
-    sig.push_back(placement.y_of(s));
-  }
-  return sig;
-}
-
-// Replaying a cached cycle is valid when the replay would provably run
-// the exact same negotiation. Same graph generation + same full option
-// set always qualifies; a cycle that converged in one clean iteration
-// only consumed the iteration-1 options; and after in-place widenings
-// (same uid, higher epoch) it additionally must never have read a cost
-// with the present-congestion term active — the only cost component a
-// pure capacity raise can change.
-bool entry_replayable(const RouteState::Entry& e, const RrGraph& rr,
-                      const RouterOptions& o) {
-  if (e.graph_uid != rr.uid()) return false;
-  if (e.timing_driven != o.timing_driven ||
-      e.initial_pres_fac != o.initial_pres_fac ||
-      e.astar_weight != o.astar_weight ||
-      e.delay_norm_ps != o.delay_norm_ps ||
-      e.batch_size != std::max(1, o.batch_size))
-    return false;
-  const bool one_clean_iter = e.iterations == 1 && e.overused == 0;
-  if (e.capacity_epoch == rr.capacity_epoch()) {
-    if (one_clean_iter) return true;
-    return e.max_iterations == o.max_iterations &&
-           e.pres_fac_mult == o.pres_fac_mult && e.hist_fac == o.hist_fac;
-  }
-  return e.capacity_epoch < rr.capacity_epoch() && one_clean_iter &&
-         !e.saw_over;
-}
-
-#ifdef NANOMAP_AUDIT_ROUTE
-void audit_against_reference(const RoutingResult& got,
-                             const RoutingResult& want) {
-  NM_CHECK_MSG(got.success == want.success &&
-                   got.worst_iterations == want.worst_iterations &&
-                   got.overused_nodes == want.overused_nodes &&
-                   got.nets.size() == want.nets.size(),
-               "route audit: result summary diverged from reference");
-  for (std::size_t i = 0; i < got.nets.size(); ++i) {
-    const NetRoute& a = got.nets[i];
-    const NetRoute& b = want.nets[i];
-    NM_CHECK_MSG(a.net_index == b.net_index &&
-                     a.sink_smbs == b.sink_smbs &&
-                     a.sink_delay_ps == b.sink_delay_ps &&
-                     a.wire_nodes == b.wire_nodes,
-                 "route audit: net " << a.net_index
-                                     << " diverged from reference");
-  }
-}
-#endif
 
 }  // namespace
 
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
-                           const RouterOptions& options, ThreadPool* pool,
-                           RouteState* reuse) {
+                           const RouterOptions& options, ThreadPool* pool) {
   NM_FAULT_POINT("route.converge");
   NM_TRACE_COUNT("route.calls", 1);
   RoutingResult result;
-  RouteState local_state;  // cross-cycle reuse even without a caller cache
-  RouteState* state = reuse ? reuse : &local_state;
   std::vector<std::vector<int>> per_cycle(
       static_cast<std::size_t>(cd.num_cycles));
   for (std::size_t i = 0; i < cd.nets.size(); ++i)
@@ -614,68 +310,15 @@ RoutingResult route_design(const ClusteredDesign& cd,
 
   for (int c = 0; c < cd.num_cycles; ++c) {
     // Per-cycle router state allocation (the cycle loop is sequential, so
-    // hit N is folding cycle N regardless of thread count or reuse).
+    // hit N is folding cycle N regardless of thread count).
     NM_FAULT_POINT("route.alloc");
-    const std::vector<int>& nets_idx =
-        per_cycle[static_cast<std::size_t>(c)];
-    std::vector<std::vector<int>> sorted_sinks(nets_idx.size());
-    std::vector<std::vector<std::int64_t>> net_sigs(nets_idx.size());
-    std::vector<std::int64_t> sig;
-    for (std::size_t j = 0; j < nets_idx.size(); ++j) {
-      sorted_sinks[j] = sinks_farthest_first(cd, placement, nets_idx[j]);
-      net_sigs[j] = net_signature(cd, placement, nets_idx[j],
-                                  sorted_sinks[j]);
-      sig.insert(sig.end(), net_sigs[j].begin(), net_sigs[j].end());
-    }
-    ++result.reuse.cycles_total;
-
+    CycleRouter router(cd, placement, rr, options, pool);
     int iters = 0;
-    long overused = 0;
     const std::size_t nets_before = result.nets.size();
-    NM_TRACE_COUNT("route.cycle_cache_lookups", 1);
-    auto it = state->entries().find(sig);
-    if (it != state->entries().end() &&
-        entry_replayable(it->second, rr, options)) {
-      // Replay: emit the cached trees under this cycle's net identities.
-      const RouteState::Entry& e = it->second;
-      for (std::size_t j = 0; j < nets_idx.size(); ++j) {
-        NetRoute nr;
-        nr.net_index = nets_idx[j];
-        nr.sink_smbs = sorted_sinks[j];
-        nr.sink_delay_ps = e.nets[j].sink_delay_ps;
-        nr.wire_nodes = e.nets[j].wire_nodes;
-        result.nets.push_back(std::move(nr));
-      }
-      iters = e.iterations;
-      overused = e.overused;
-      ++result.reuse.cycles_reused;
-      result.reuse.nets_reused += static_cast<long>(nets_idx.size());
-      NM_TRACE_COUNT("route.cycles_reused", 1);
-    } else {
-      CycleRouter router(cd, placement, rr, options, pool, state);
-      bool saw_over = false;
-      overused = router.route_cycle(nets_idx, sorted_sinks, net_sigs,
-                                    &result.nets, &iters, &result.reuse,
-                                    &saw_over);
-      RouteState::Entry e;
-      e.graph_uid = rr.uid();
-      e.capacity_epoch = rr.capacity_epoch();
-      e.timing_driven = options.timing_driven;
-      e.initial_pres_fac = options.initial_pres_fac;
-      e.astar_weight = options.astar_weight;
-      e.delay_norm_ps = options.delay_norm_ps;
-      e.batch_size = std::max(1, options.batch_size);
-      e.max_iterations = options.max_iterations;
-      e.pres_fac_mult = options.pres_fac_mult;
-      e.hist_fac = options.hist_fac;
-      e.iterations = iters;
-      e.overused = overused;
-      e.saw_over = saw_over;
-      for (std::size_t i = nets_before; i < result.nets.size(); ++i)
-        e.nets.push_back({result.nets[i].wire_nodes,
-                          result.nets[i].sink_delay_ps});
-      state->entries()[std::move(sig)] = std::move(e);
-    }
+    const long overused =
+        router.route_cycle(per_cycle[static_cast<std::size_t>(c)],
+                           &result.nets, &iters, &result.reuse);
+    ++result.reuse.cycles_total;
     result.worst_iterations = std::max(result.worst_iterations, iters);
     result.overused_nodes += overused;
     if (overused > 0) result.success = false;
@@ -716,24 +359,7 @@ RoutingResult route_design(const ClusteredDesign& cd,
   NM_LOG(kDebug) << "routing: " << result.nets.size() << " nets, usage d/1/4/g "
                  << result.usage.direct << "/" << result.usage.len1 << "/"
                  << result.usage.len4 << "/" << result.usage.global
-                 << (result.success ? "" : " [OVERUSED]") << ", reuse c/n/s "
-                 << result.reuse.cycles_reused << "/"
-                 << result.reuse.nets_reused << "/"
-                 << result.reuse.nets_skipped;
-#ifdef NANOMAP_AUDIT_ROUTE
-  // Bit-exact cross-check against the seed router — auditing both caches
-  // on every call — plus a structural replay through validate_routing, which
-  // re-walks every emitted tree (cache-served ones included) from the
-  // driver and re-checks per-cycle occupancy.
-  audit_against_reference(result,
-                          route_nets_reference(cd, placement, rr, options,
-                                               pool));
-  {
-    std::string why;
-    NM_CHECK_MSG(validate_routing(cd, placement, rr, result, &why),
-                 "route audit: " << why);
-  }
-#endif
+                 << (result.success ? "" : " [OVERUSED]");
   return result;
 }
 

@@ -12,27 +12,14 @@
 // The hierarchical preference (direct links, then length-1, length-4,
 // global) emerges from the nodes' base costs and delays.
 //
-// Incremental kernel (DESIGN.md §5g). The router is byte-identical to the
-// seed algorithm (kept alive as route_nets_reference) but avoids repeating
-// work it can prove redundant:
-//   * within a cycle, a net is re-searched only when some RR node its last
-//     A* read has changed cost inputs since (occupancy, history, or the
-//     present-congestion factor), tracked with monotone stamps;
-//   * across cycles / route_design calls, a RouteState caches each cycle's
-//     routed trees keyed by an exact geometric signature and replays them
-//     when the graph and the effective options make the replay provably
-//     identical — including across in-place channel widenings;
-//   * per net, a geometric cache replays congestion-clean searches whose
-//     whole read-set is still clean, so a net routed identically in cycle
-//     k seeds cycle k+1 (and warm-started calls) even when the cycle
-//     signature differs (DESIGN.md §5i).
-// Building with -DNANOMAP_AUDIT_ROUTE=ON (CMake option, wired into the
-// tsan preset) cross-checks every route_design call against the reference
-// router, bit-exact.
+// Every iteration rips up and reroutes every net of the cycle, and every
+// call starts cold: no routing state is carried across cycles or calls
+// (DESIGN.md §5g). RouterOptions::batch_size > 1 with a pool reroutes the
+// nets of a batch concurrently against a frozen snapshot; results never
+// depend on the thread count.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -79,19 +66,18 @@ struct WireUsage {
   long total() const { return direct + len1 + len4 + global; }
 };
 
-// Work the incremental kernel proved redundant and skipped. Purely
-// informational: the routed trees never depend on what was reused.
+// Routing work counters. Purely informational: the routed trees never
+// depend on them.
 struct RouteReuseStats {
-  long cycles_total = 0;
-  long cycles_reused = 0;   // folding cycles replayed from a RouteState
-  long nets_reused = 0;     // nets inside those replayed cycles
-  long nets_skipped = 0;    // clean-net skips inside live PathFinder loops
-  long nets_rerouted = 0;   // net searches executed (A* or net-cache replay)
-  // Always 0 (one sequential schedule); flowbench/ still reads both.
+  long cycles_total = 0;    // folding cycles routed
+  long nets_rerouted = 0;   // A* net searches executed
+  // Always 0: the router keeps no route caches and runs one sequential
+  // negotiation schedule. Kept only because flowbench/ reads them.
+  long cycles_reused = 0;
+  long net_cache_hits = 0;
+  long net_cache_misses = 0;
   long spec_batches = 0;
   long spec_conflicts = 0;
-  long net_cache_hits = 0;  // committed searches served by the per-net cache
-  long net_cache_misses = 0;  // committed searches that ran A*
 };
 
 struct RoutingResult {
@@ -103,91 +89,14 @@ struct RoutingResult {
   RouteReuseStats reuse;
 };
 
-// Cross-call route cache. Hand the same RouteState to successive
-// route_design calls (e.g. the recovery ladder's rungs) and any folding
-// cycle whose replay is provably byte-identical is served from the cache
-// instead of re-negotiated. Entries are keyed by an exact geometric
-// signature (driver/sink coordinates + criticalities) and validated
-// against the RR graph's uid/capacity_epoch and the routing options; a
-// cycle routed on a narrower graph is replayable after widen_channels only
-// if it converged in one iteration without ever reading a congested cost.
-// The contents are internal to the router — treat as opaque.
-class RouteState {
- public:
-  struct CachedNet {
-    std::vector<int> wire_nodes;        // sorted, deduplicated
-    std::vector<double> sink_delay_ps;  // farthest-first sink order
-  };
-  struct Entry {
-    std::uint64_t graph_uid = 0;
-    int capacity_epoch = 0;
-    // Options that shape PathFinder iteration 1 (sufficient key for
-    // cycles that converged immediately):
-    bool timing_driven = true;
-    double initial_pres_fac = 0.0;
-    double astar_weight = 0.0;
-    double delay_norm_ps = 0.0;
-    int batch_size = 1;  // effective (clamped) batch size
-    // Options that only matter from iteration 2 on:
-    int max_iterations = 0;
-    double pres_fac_mult = 0.0;
-    double hist_fac = 0.0;
-    int iterations = 0;     // iterations the cached negotiation took
-    long overused = 0;      // residual overuse of the cached result
-    bool saw_over = false;  // any cost read had the present term active
-    std::vector<CachedNet> nets;  // cycle-net order
-  };
-
-  // Per-net geometric cache (DESIGN.md §5i). Finer grained than the cycle
-  // entries above: one record per net geometry, inserted when the net's
-  // final search of a negotiation was congestion-clean (read no history
-  // and no present-congestion term — i.e. it consumed only static costs).
-  // Such a search is a pure function of the geometry key, the cost-shaping
-  // options and the static graph, so it seeds any later cycle that routes
-  // the same geometry — even when the whole-cycle signature differs — on
-  // any graph with the same compat_sig(). `touched` is the read-set
-  // certificate: replay is admitted only while every listed node is still
-  // clean (zero history, one more occupant fits) in the live snapshot.
-  struct NetEntry {
-    std::uint64_t compat_sig = 0;  // RrGraph::compat_sig() it was routed on
-    int capacity_epoch = 0;        // informational; admission reads live
-    bool timing_driven = true;     // cost-shaping options the clean search
-    double astar_weight = 0.0;     // consumed
-    double delay_norm_ps = 0.0;
-    std::vector<int> wire_nodes;        // sorted, deduplicated
-    std::vector<double> sink_delay_ps;  // farthest-first sink order
-    std::vector<int> touched;           // sorted read-set certificate
-  };
-
-  void clear() {
-    entries_.clear();
-    net_entries_.clear();
-  }
-  std::size_t size() const { return entries_.size(); }
-  std::size_t net_size() const { return net_entries_.size(); }
-
-  // Internal (router-only): signature -> cached cycle / cached net.
-  std::map<std::vector<std::int64_t>, Entry>& entries() { return entries_; }
-  std::map<std::vector<std::int64_t>, NetEntry>& net_entries() {
-    return net_entries_;
-  }
-
- private:
-  std::map<std::vector<std::int64_t>, Entry> entries_;
-  std::map<std::vector<std::int64_t>, NetEntry> net_entries_;
-};
-
 // Routes every folding cycle. With a pool and options.batch_size > 1 the
 // nets inside a rip-up batch are rerouted concurrently; the routed trees
 // are a pure function of (cd, placement, rr, options) — never of the
-// pool, its thread count, or the contents of `reuse`. A non-null `reuse`
-// carries provably-identical cycle routings across calls (cycles also
-// reuse each other within one call either way).
+// pool or its thread count.
 RoutingResult route_design(const ClusteredDesign& cd,
                            const Placement& placement, const RrGraph& rr,
                            const RouterOptions& options = {},
-                           ThreadPool* pool = nullptr,
-                           RouteState* reuse = nullptr);
+                           ThreadPool* pool = nullptr);
 
 // Structural audit of a routing result against the design it routes:
 // every net present exactly once; every route a connected tree rooted at

@@ -106,13 +106,13 @@ RrGraph ServeCaches::make(const GridSize& grid, const ArchParams& arch) {
   if (it != rr_graphs_.end()) {
     ++stats_.rr_hits;
     NM_TRACE_COUNT("serve.cache.rr_hits", 1);
-    return it->second->clone_for_reuse();
+    return *it->second;
   }
   ++stats_.rr_misses;
   NM_TRACE_COUNT("serve.cache.rr_misses", 1);
   auto prototype = std::make_shared<const RrGraph>(grid, arch);
   rr_graphs_.emplace(key, prototype);
-  return prototype->clone_for_reuse();
+  return *prototype;
 }
 
 ServeCaches::Stats ServeCaches::stats() const {

@@ -15,9 +15,8 @@
 //             file edits aliasing a stale entry).
 //   rr      — RrGraph prototypes keyed by write_arch() + defect signature
 //             + grid, plugged into FlowOptions::rr_provider. make() hands
-//             out clone_for_reuse() copies (fresh uid, everything else
-//             byte-identical), so the flow may widen its copy in place
-//             while the prototype stays pristine.
+//             out plain copies, byte-identical to a fresh build; the
+//             prototype itself is never handed out.
 //
 // Thread safety: one mutex per cache map; a miss builds *under* the lock.
 // That serializes concurrent first builds of the same key — deliberately:
@@ -70,8 +69,8 @@ class ServeCaches : public RrGraphProvider {
                                          const std::string& defects,
                                          const ArchParams& base);
 
-  // RrGraphProvider: a clone_for_reuse() copy of the cached prototype for
-  // (grid, arch) — byte-identical to RrGraph(grid, arch) except the uid.
+  // RrGraphProvider: a copy of the cached prototype for (grid, arch) —
+  // byte-identical to RrGraph(grid, arch).
   RrGraph make(const GridSize& grid, const ArchParams& arch) override;
 
   Stats stats() const;

@@ -1,6 +1,6 @@
 // Defect model tests (arch/defect.h) and the defect-tolerant flow
 // (DESIGN.md §5j): parser round-trips and diagnostics, deterministic
-// seeded fates, RR-graph capacity masking with widen/rebuild agreement,
+// seeded fates, RR-graph capacity masking and track monotonicity,
 // placement legality and the bipartite fit check, bitstream-level
 // defect verification, and the end-to-end flow invariants — an inactive
 // or empty spec is byte-identical to the defect-free flow, an active one
@@ -213,33 +213,12 @@ TEST(DefectRrGraph, WireDefectsReduceCapacityAndCompatSig) {
   ASSERT_EQ(rr_clean.size(), rr_broken.size());
   EXPECT_LT(total_channel_capacity(rr_broken),
             total_channel_capacity(rr_clean));
-  EXPECT_NE(rr_clean.compat_sig(), rr_broken.compat_sig());
-  EXPECT_FALSE(can_widen_in_place(clean, broken));
-  // Same defects, same signature.
+  EXPECT_NE(clean.defects.content_sig(), broken.defects.content_sig());
+  // Same defect spec, the same capacities node for node.
   RrGraph rr_again(grid, broken);
-  EXPECT_EQ(rr_broken.compat_sig(), rr_again.compat_sig());
-}
-
-TEST(DefectRrGraph, WidenInPlaceMatchesFreshBuild) {
-  GridSize grid{4, 4};
-  ArchParams narrow = narrow_arch();
-  narrow.defects.seed = 5;
-  narrow.defects.wire_rate = 0.3;
-  ArchParams wide = narrow;
-  wide.len1_tracks += 3;
-  wide.len4_tracks += 2;
-  wide.global_tracks += 1;
-
-  RrGraph widened(grid, narrow);
-  ASSERT_TRUE(can_widen_in_place(narrow, wide));
-  widened.widen_channels(wide);
-  RrGraph fresh(grid, wide);
-  ASSERT_EQ(widened.size(), fresh.size());
-  for (int n = 0; n < fresh.size(); ++n) {
-    EXPECT_EQ(widened.node(n).capacity, fresh.node(n).capacity)
-        << "node " << n << ": " << fresh.describe(n);
-    // Widening never shrinks a channel (capacity monotonicity).
-  }
+  ASSERT_EQ(rr_broken.size(), rr_again.size());
+  for (int n = 0; n < rr_broken.size(); ++n)
+    EXPECT_EQ(rr_broken.node(n).capacity, rr_again.node(n).capacity) << n;
 }
 
 // --- placement legality ----------------------------------------------------

@@ -31,7 +31,7 @@ FlowOptions base_options() {
 }
 
 // Strictly wider channels, otherwise identical: chains onto the base
-// candidate of the same level (schedule reuse + in-place widening).
+// candidate of the same level (schedule reuse).
 ArchParams wider(const ArchParams& base) {
   ArchParams arch = base;
   arch.len1_tracks += 2;
@@ -99,7 +99,6 @@ std::string fold_fingerprint(const ExploreResult& ex) {
   add_int(ex.explore.warm_starts);
   for (const ExploreCandidateOutcome& o : ex.explore.outcomes) {
     add_int(o.warm_schedule ? 1 : 0);
-    add_int(o.warm_route_state ? 1 : 0);
     add_int(o.on_pareto_front ? 1 : 0);
     add_int(o.winner ? 1 : 0);
     fp += o.label + "|" + o.error_kind;
@@ -329,19 +328,19 @@ TEST(Explore, TracedSweepHitsOnlyRegisteredSites) {
   ASSERT_EQ(ex.report.stages.size(), 1u);
   EXPECT_EQ(ex.report.stages[0].name, "explore");
 
-  long candidates = 0, warm = 0, cache_lookups = 0;
+  long candidates = 0, warm = 0, route_calls = 0;
   const auto& counter_reg = Trace::known_counter_sites();
   std::set<std::string> known(counter_reg.begin(), counter_reg.end());
   for (const TraceCounterRow& c : ex.report.counters) {
     EXPECT_TRUE(known.count(c.site)) << "unregistered site " << c.site;
     if (c.site == "explore.candidates") candidates = c.value;
     if (c.site == "explore.warm_starts") warm = c.value;
-    if (c.site == "route.cycle_cache_lookups") cache_lookups = c.value;
+    if (c.site == "route.calls") route_calls = c.value;
   }
   EXPECT_EQ(candidates, 6);
   EXPECT_EQ(warm, static_cast<long>(ex.explore.warm_starts));
   EXPECT_GE(warm, 1);
-  EXPECT_GE(cache_lookups, 1);
+  EXPECT_GE(route_calls, 1);
 }
 
 // --- report schema ---------------------------------------------------------
@@ -375,9 +374,10 @@ TEST(Explore, ReportExploreSectionRoundTripsThroughParser) {
   for (const char* key :
        {"index", "level", "variant", "label", "feasible", "error_kind",
         "num_les", "num_cycles", "delay_ns", "area_delay_product",
-        "warm_schedule", "warm_route_state", "on_pareto_front", "winner",
-        "cpu_seconds"})
+        "warm_schedule", "on_pareto_front", "winner", "cpu_seconds"})
     EXPECT_NE(outcomes->items[0].find(key), nullptr) << key;
+  // Dropped in explore-section version 2: routing takes no donor state.
+  EXPECT_EQ(outcomes->items[0].find("warm_route_state"), nullptr);
   const JsonValue* pareto = explore->find("pareto");
   ASSERT_NE(pareto, nullptr);
   EXPECT_EQ(pareto->kind, JsonValue::Kind::kArray);

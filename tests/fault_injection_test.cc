@@ -19,7 +19,7 @@
 #include "circuits/benchmarks.h"
 #include "circuits/random_dag.h"
 #include "flow/nanomap_flow.h"
-#include "route/pathfinder_reference.h"
+#include "route/pathfinder.h"
 #include "util/fault.h"
 
 namespace nanomap {
@@ -180,15 +180,15 @@ TEST(FaultInjection, NthHitTargetsLaterStageCalls) {
   EXPECT_TRUE(r.feasible) << r.message;
 }
 
-// route.converge faults × incremental router state (DESIGN.md §5g). The
-// ladder keeps an RR graph and a RouteState alive across its rungs; a
-// faulted climb must drop both. Arm the fault at increasing hit indices
-// so it fires at different depths of the incremental state build-up
-// (rung 0 cold, rung 1 with a warm cycle cache, a later level's fresh
-// climb) on a congested fabric that actually exercises the ladder, and
-// prove the recovery never ships stale cached trees: the final routing
-// replays byte-identically on the verbatim seed router from the winning
-// rung's fabric + budgets, and results are threads-1-vs-4 byte-identical.
+// route.converge faults × the recovery ladder (DESIGN.md §5g). The ladder
+// keeps one RR graph across its budget rungs; a faulted climb must leave
+// nothing behind. Arm the fault at increasing hit indices so it fires at
+// different ladder depths (rung 0, rung 1 on the same graph, a later
+// level's fresh climb) on a congested fabric that actually exercises the
+// ladder, and prove the recovery ships exactly what a cold route gives:
+// a fresh route_design on a freshly built graph of the winning rung's
+// fabric + budgets reproduces the shipped routing byte for byte, and
+// results are threads-1-vs-4 byte-identical.
 TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
   RandomDagSpec spec;
   spec.luts_per_plane = 80;
@@ -258,13 +258,13 @@ TEST(FaultInjection, RouteConvergeFaultNeverLeavesStaleRouteState) {
     ASSERT_TRUE(serial.feasible) << "hit " << nth << ": " << serial.message;
     EXPECT_TRUE(serial.routing.success) << "hit " << nth;
 
-    // No stale caches: a cold reference re-route of the shipped
-    // placement on the winning fabric reproduces the shipped routing
-    // exactly.
+    // No leftover ladder state: a cold re-route of the shipped placement
+    // on a fresh graph of the winning fabric reproduces the shipped
+    // routing exactly.
     RrGraph rr(serial.placement.placement.grid, serial.routed_arch);
     RoutingResult ref =
-        route_nets_reference(serial.clustered, serial.placement.placement, rr,
-                             serial.routed_router);
+        route_design(serial.clustered, serial.placement.placement, rr,
+                     serial.routed_router);
     EXPECT_EQ(serial.routing.success, ref.success) << "hit " << nth;
     EXPECT_EQ(serial.routing.worst_iterations, ref.worst_iterations)
         << "hit " << nth;

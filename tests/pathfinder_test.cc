@@ -1,14 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <random>
+#include <cstdint>
 
-#include "arch/defect.h"
 #include "circuits/random_dag.h"
 #include "core/folding.h"
 #include "core/schedule_graph.h"
 #include "core/temporal_cluster.h"
 #include "route/pathfinder.h"
-#include "route/pathfinder_reference.h"
 
 namespace nanomap {
 namespace {
@@ -164,25 +162,35 @@ TEST(PathFinder, DeterministicResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential route-equivalence harness: the incremental kernel must be
-// byte-identical to the verbatim seed router for any input (DESIGN.md §5g).
+// Route identity pins: the routed trees of a fixed sweep of inputs are
+// fingerprinted and pinned, so any change to the negotiation shows up as
+// a fingerprint diff (DESIGN.md §5g).
 
-void expect_identical(const RoutingResult& got, const RoutingResult& want,
-                      const std::string& ctx) {
-  EXPECT_EQ(got.success, want.success) << ctx;
-  EXPECT_EQ(got.worst_iterations, want.worst_iterations) << ctx;
-  EXPECT_EQ(got.overused_nodes, want.overused_nodes) << ctx;
-  EXPECT_EQ(got.usage.direct, want.usage.direct) << ctx;
-  EXPECT_EQ(got.usage.len1, want.usage.len1) << ctx;
-  EXPECT_EQ(got.usage.len4, want.usage.len4) << ctx;
-  EXPECT_EQ(got.usage.global, want.usage.global) << ctx;
-  ASSERT_EQ(got.nets.size(), want.nets.size()) << ctx;
-  for (std::size_t i = 0; i < got.nets.size(); ++i) {
-    EXPECT_EQ(got.nets[i].net_index, want.nets[i].net_index) << ctx;
-    EXPECT_EQ(got.nets[i].sink_smbs, want.nets[i].sink_smbs) << ctx;
-    EXPECT_EQ(got.nets[i].sink_delay_ps, want.nets[i].sink_delay_ps) << ctx;
-    EXPECT_EQ(got.nets[i].wire_nodes, want.nets[i].wire_nodes) << ctx;
+// FNV-1a over the whole routing result: summary, then per net its index,
+// sink order, sink delays (bit patterns) and wire nodes.
+std::uint64_t route_fingerprint(const RoutingResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&](const void* p, std::size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_int = [&](long long v) { mix(&v, sizeof v); };
+  mix_int(r.success ? 1 : 0);
+  mix_int(r.worst_iterations);
+  mix_int(r.overused_nodes);
+  mix_int(static_cast<long long>(r.nets.size()));
+  for (const NetRoute& nr : r.nets) {
+    mix_int(nr.net_index);
+    mix_int(static_cast<long long>(nr.sink_smbs.size()));
+    for (int s : nr.sink_smbs) mix_int(s);
+    for (double d : nr.sink_delay_ps) mix(&d, sizeof d);
+    mix_int(static_cast<long long>(nr.wire_nodes.size()));
+    for (int n : nr.wire_nodes) mix_int(n);
   }
+  return h;
 }
 
 // Schedules, clusters and places a random DAG at one folding level — a
@@ -218,150 +226,110 @@ Physical build_physical(const RandomDagSpec& spec, int level,
 }
 
 TEST(PathFinderDifferential, SweepSeedsLevelsChannels) {
-  // Two input sizes: 30-LUT circuits on the normal and a narrow fabric,
+  // Two input sizes: 64-LUT circuits on the normal and a narrow fabric,
   // and 120-LUT circuits on the narrow fabric only, where negotiations
-  // run long and many nets rip up every iteration.
-  struct Size {
+  // run long and many nets rip up every iteration. Every input spans
+  // several SMBs (a single-SMB clustering routes nothing and would pin an
+  // empty result). `batch4` pins the batched schedule (batch_size 4 on a
+  // 4-thread pool) for the first seed of each size; 0 = not pinned.
+  struct Pin {
     int luts;
-    std::uint64_t first_seed, last_seed;
-    bool narrow_only;
+    std::uint64_t seed;
+    int level;
+    bool narrow;
+    std::uint64_t fingerprint, batch4;
   };
-  for (const Size& size : {Size{30, 1, 5, false}, Size{120, 11, 16, true}}) {
-    for (std::uint64_t seed = size.first_seed; seed <= size.last_seed;
-         ++seed) {
-      for (int level : {0, 1, 2}) {
-        for (bool narrow : {false, true}) {
-          if (size.narrow_only && !narrow) continue;
-          ArchParams arch = ArchParams::paper_instance_unbounded_k();
-          if (narrow) {
-            arch.direct_links_per_side = 2;
-            arch.len1_tracks = 4;
-            arch.len4_tracks = 2;
-            arch.global_tracks = 2;
-          }
-          RandomDagSpec spec;
-          spec.luts_per_plane = size.luts;
-          spec.depth = 4;
-          spec.num_inputs = 10;
-          spec.seed = seed;
-          Physical ph = build_physical(spec, level, arch);
-          RrGraph rr(ph.p.grid, arch);
-          std::string ctx = std::to_string(size.luts) + " LUTs seed " +
-                            std::to_string(seed) + " level " +
-                            std::to_string(level) +
-                            (narrow ? " narrow" : " normal");
-          RouterOptions opts;
-          opts.max_iterations = 20;  // allow honest failures when narrow
-          const RoutingResult want =
-              route_nets_reference(ph.cd, ph.p, rr, opts);
-          expect_identical(route_design(ph.cd, ph.p, rr, opts), want, ctx);
-          if (size.narrow_only) {  // the large size must really negotiate
-            EXPECT_GT(want.worst_iterations, 1) << ctx;
-          }
-          if (seed == size.first_seed) {  // batched, pooled vs. reference
-            opts.batch_size = 4;
-            ThreadPool pool(4);
-            expect_identical(
-                route_design(ph.cd, ph.p, rr, opts, &pool),
-                route_nets_reference(ph.cd, ph.p, rr, opts),
-                ctx + " batch4");
-          }
-        }
-      }
+  const Pin pins[] = {
+      {64, 1, 0, false, 0xc04a3c2cbc077a99ull, 0xc04a3c2cbc077a99ull},
+      {64, 1, 0, true, 0xf2e8932eeffda848ull, 0x19a29e7cd0ae437cull},
+      {64, 1, 1, false, 0x0bd78ba01b1bf08dull, 0x0bd78ba01b1bf08dull},
+      {64, 1, 1, true, 0xc72b55bbc3e31505ull, 0xe6c0174d65241f12ull},
+      {64, 1, 2, false, 0x014df04d6c3f4e7bull, 0x9a151fa546a5bc58ull},
+      {64, 1, 2, true, 0xcc67415aeb468598ull, 0x243604a4d8801776ull},
+      {64, 2, 0, false, 0xebebf4122a3610f4ull, 0},
+      {64, 2, 0, true, 0x02394e72c606eb0bull, 0},
+      {64, 2, 1, false, 0xa4f162baf301c4d7ull, 0},
+      {64, 2, 1, true, 0x2c9c165a123b6625ull, 0},
+      {64, 2, 2, false, 0x3df8879fb39d8646ull, 0},
+      {64, 2, 2, true, 0xdc8b35b273fb7748ull, 0},
+      {64, 3, 0, false, 0xd24a744f4ab1a7c1ull, 0},
+      {64, 3, 0, true, 0x7c42066c8aeeedb5ull, 0},
+      {64, 3, 1, false, 0x4470effe2b2a7324ull, 0},
+      {64, 3, 1, true, 0x09bb2d6f14be16fdull, 0},
+      {64, 3, 2, false, 0xabad6985f74d1daaull, 0},
+      {64, 3, 2, true, 0x945ed527ce1bcd05ull, 0},
+      {64, 4, 0, false, 0x85a35215f29e1299ull, 0},
+      {64, 4, 0, true, 0x564d7cfb6f6d1888ull, 0},
+      {64, 4, 1, false, 0x5d6ba476c90e9593ull, 0},
+      {64, 4, 1, true, 0x5d6ba476c90e9593ull, 0},
+      {64, 4, 2, false, 0xd5696ba06ca8d48bull, 0},
+      {64, 4, 2, true, 0x2d4523156b83f22cull, 0},
+      {64, 5, 0, false, 0x2ba96bc587381b48ull, 0},
+      {64, 5, 0, true, 0xa0f7a94da4e03a25ull, 0},
+      {64, 5, 1, false, 0x457d522fd678fc4cull, 0},
+      {64, 5, 1, true, 0xdbb5659166a7ccfcull, 0},
+      {64, 5, 2, false, 0x40d791c448075e0cull, 0},
+      {64, 5, 2, true, 0x068390d36d4589cbull, 0},
+      {120, 11, 0, true, 0x294d85e59d28d656ull, 0xae45c1c94427095aull},
+      {120, 11, 1, true, 0x21565c49410b9844ull, 0x6d8d6af52fb5490full},
+      {120, 11, 2, true, 0x47dee218811568aeull, 0x2d048089c53e0904ull},
+      {120, 12, 0, true, 0x7e005106caa3f953ull, 0},
+      {120, 12, 1, true, 0x57c181f206137cafull, 0},
+      {120, 12, 2, true, 0x0151fe16361ec1dfull, 0},
+      {120, 13, 0, true, 0xed0a1b6c414b40e1ull, 0},
+      {120, 13, 1, true, 0x8b48953c16fe55d8ull, 0},
+      {120, 13, 2, true, 0x9df3f621105dd63dull, 0},
+      {120, 14, 0, true, 0x9490b4b9ef52ecc2ull, 0},
+      {120, 14, 1, true, 0xace9651e38956c00ull, 0},
+      {120, 14, 2, true, 0x53de8d89ccf2132dull, 0},
+      {120, 15, 0, true, 0x3510e763bfef43e5ull, 0},
+      {120, 15, 1, true, 0x2dcc0a02c8e42d5bull, 0},
+      {120, 15, 2, true, 0x92c310cdf2a91013ull, 0},
+      {120, 16, 0, true, 0xb31024428e6bb003ull, 0},
+      {120, 16, 1, true, 0x473022506cb61d50ull, 0},
+      {120, 16, 2, true, 0xeff6f475444af290ull, 0},
+  };
+  for (const Pin& pin : pins) {
+    ArchParams arch = ArchParams::paper_instance_unbounded_k();
+    if (pin.narrow) {
+      arch.direct_links_per_side = 2;
+      arch.len1_tracks = 4;
+      arch.len4_tracks = 2;
+      arch.global_tracks = 2;
+    }
+    RandomDagSpec spec;
+    spec.luts_per_plane = pin.luts;
+    spec.depth = 4;
+    spec.num_inputs = 10;
+    spec.seed = pin.seed;
+    Physical ph = build_physical(spec, pin.level, arch);
+    RrGraph rr(ph.p.grid, arch);
+    const std::string ctx = std::to_string(pin.luts) + " LUTs seed " +
+                            std::to_string(pin.seed) + " level " +
+                            std::to_string(pin.level) +
+                            (pin.narrow ? " narrow" : " normal");
+    RouterOptions opts;
+    opts.max_iterations = 20;  // allow honest failures when narrow
+    const RoutingResult r = route_design(ph.cd, ph.p, rr, opts);
+    EXPECT_GE(r.nets.size(), 1u) << ctx;
+    EXPECT_EQ(route_fingerprint(r), pin.fingerprint) << ctx;
+    std::string why;
+    EXPECT_TRUE(validate_routing(ph.cd, ph.p, rr, r, &why)) << ctx << why;
+    if (pin.luts == 120) {  // the large size must really negotiate
+      EXPECT_GT(r.worst_iterations, 1) << ctx;
+    }
+    if (pin.batch4 != 0) {
+      opts.batch_size = 4;
+      ThreadPool pool(4);
+      EXPECT_EQ(route_fingerprint(route_design(ph.cd, ph.p, rr, opts, &pool)),
+                pin.batch4)
+          << ctx << " batch4";
     }
   }
 }
 
-TEST(PathFinderDifferential, LadderReplayMatchesColdReference) {
-  // Cycle 0 is trivially routable, cycle 1 is congested: climbing a
-  // budget rung and then a channel rung must replay cycle 0 from the
-  // cache while staying byte-identical to a cold reference route.
-  ArchParams arch = ArchParams::paper_instance();
-  arch.direct_links_per_side = 2;
-  arch.len1_tracks = 4;
-  arch.len4_tracks = 2;
-  arch.global_tracks = 2;
-  std::vector<PlacedNet> nets;
-  nets.push_back(net(100, 0, 2, {3}));
-  for (int i = 0; i < 9; ++i) nets.push_back(net(i, 1, 0, {1}));
-  ClusteredDesign cd = synthetic(4, 2, std::move(nets));
-  Placement p = row_placement(4, 4);
-  RrGraph rr(p.grid, arch);
-  RouteState state;
-
-  RouterOptions starved;
-  starved.max_iterations = 2;
-  RoutingResult r0 = route_design(cd, p, rr, starved, nullptr, &state);
-  expect_identical(r0, route_nets_reference(cd, p, rr, starved), "rung 0");
-
-  // Budget rung: same graph, raised iteration budget. The easy cycle
-  // converged in one clean iteration, so it replays from the cache.
-  RouterOptions raised = starved;
-  raised.max_iterations = 60;
-  raised.pres_fac_mult = 1.0 + (raised.pres_fac_mult - 1.0) * 1.5;
-  raised.hist_fac *= 1.5;
-  RoutingResult r1 = route_design(cd, p, rr, raised, nullptr, &state);
-  expect_identical(r1, route_nets_reference(cd, p, rr, raised), "rung 1");
-  EXPECT_GE(r1.reuse.cycles_reused, 1);
-
-  // Channel rung: widen in place; the easy cycle (which never read a
-  // congested cost) must survive the capacity epoch bump.
-  ArchParams wide = arch;
-  wide.len1_tracks += 2;
-  wide.len4_tracks += 1;
-  wide.global_tracks += 1;
-  rr.widen_channels(wide);
-  RoutingResult r2 = route_design(cd, p, rr, raised, nullptr, &state);
-  expect_identical(r2, route_nets_reference(cd, p, rr, raised), "rung 2");
-  EXPECT_GE(r2.reuse.cycles_reused, 1);
-  EXPECT_TRUE(r2.success);
-}
-
-TEST(PathFinderIncremental, CrossCycleReuseWithinOneCall) {
-  // Three folding cycles with the same geometry: cycles 1 and 2 replay
-  // cycle 0's negotiation instead of re-running it.
-  std::vector<PlacedNet> nets;
-  for (int c = 0; c < 3; ++c) {
-    nets.push_back(net(c * 2, c, 0, {1, 2}));
-    nets.push_back(net(c * 2 + 1, c, 3, {0}));
-  }
-  ClusteredDesign cd = synthetic(4, 3, std::move(nets));
-  Placement p = row_placement(4, 3);
-  ArchParams arch = ArchParams::paper_instance();
-  RrGraph rr(p.grid, arch);
-  RoutingResult r = route_design(cd, p, rr);
-  expect_identical(r, route_nets_reference(cd, p, rr), "cross-cycle");
-  EXPECT_EQ(r.reuse.cycles_total, 3);
-  EXPECT_EQ(r.reuse.cycles_reused, 2);
-  EXPECT_EQ(r.reuse.nets_reused, 4);
-}
-
-TEST(PathFinderIncremental, CleanNetsSkipRepeatSearches) {
-  // Nine nets fight over one corner while two far-away nets route
-  // congestion-free: once searched, the far nets skip every subsequent
-  // PathFinder iteration (their touched nodes never get re-stamped).
-  ArchParams arch = ArchParams::paper_instance();
-  arch.direct_links_per_side = 2;
-  arch.len1_tracks = 4;
-  arch.len4_tracks = 2;
-  arch.global_tracks = 2;
-  std::vector<PlacedNet> nets;
-  for (int i = 0; i < 9; ++i) nets.push_back(net(i, 0, 0, {1}));
-  nets.push_back(net(9, 0, 6, {7}));
-  nets.push_back(net(10, 0, 7, {6}));
-  ClusteredDesign cd = synthetic(8, 1, std::move(nets));
-  Placement p = row_placement(8, 4);
-  RrGraph rr(p.grid, arch);
-  RoutingResult r = route_design(cd, p, rr);
-  expect_identical(r, route_nets_reference(cd, p, rr), "skip");
-  ASSERT_GT(r.worst_iterations, 1);  // the corner actually negotiated
-  EXPECT_GT(r.reuse.nets_skipped, 0);
-  EXPECT_TRUE(r.success);
-}
-
 // ---------------------------------------------------------------------------
-// Route-tree property/invariant checks (validate_routing) and fuzzed
-// incremental edit sequences.
+// Route-tree property/invariant checks (validate_routing).
 
 TEST(ValidateRouting, AcceptsRealResultsRejectsCorruptions) {
   // Needs a design big enough to span several SMBs: a single-SMB
@@ -419,61 +387,6 @@ TEST(ValidateRouting, AcceptsRealResultsRejectsCorruptions) {
   EXPECT_FALSE(validate_routing(ph.cd, ph.p, rr, doubled, &why));
 }
 
-TEST(PathFinderIncremental, FuzzedEditSequencesStayIdentical) {
-  // Random ladder walks: widen channels in place, jiggle router budgets
-  // and batch sizes, re-route with a persistent RouteState — after every
-  // edit the incremental result must equal a cold reference route on the
-  // same graph and pass the structural invariants.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    ArchParams arch = ArchParams::paper_instance_unbounded_k();
-    arch.direct_links_per_side = 2;
-    arch.len1_tracks = 3;
-    arch.len4_tracks = 2;
-    arch.global_tracks = 2;
-    RandomDagSpec spec;
-    spec.luts_per_plane = 24;
-    spec.depth = 3;
-    spec.num_inputs = 8;
-    spec.seed = 40 + seed;
-    Physical ph = build_physical(spec, 1, arch);
-    RrGraph rr(ph.p.grid, arch);
-    RouteState state;
-    RouterOptions opts;
-    opts.max_iterations = 12;
-    std::mt19937 rng(static_cast<unsigned>(1000 + seed));
-    for (int step = 0; step < 6; ++step) {
-      switch (rng() % 3) {
-        case 0: {  // in-place channel widening
-          ArchParams wide = rr.arch();
-          wide.len1_tracks += 1 + static_cast<int>(rng() % 2);
-          wide.len4_tracks += static_cast<int>(rng() % 2);
-          wide.global_tracks += static_cast<int>(rng() % 2);
-          rr.widen_channels(wide);
-          break;
-        }
-        case 1: {  // budget escalation
-          opts.max_iterations += static_cast<int>(rng() % 20);
-          opts.pres_fac_mult = 1.0 + (opts.pres_fac_mult - 1.0) * 1.3;
-          opts.hist_fac *= 1.2;
-          break;
-        }
-        default: {  // batched negotiation schedule
-          opts.batch_size = 1 << (rng() % 3);
-          break;
-        }
-      }
-      RoutingResult inc = route_design(ph.cd, ph.p, rr, opts, nullptr,
-                                       &state);
-      RoutingResult ref = route_nets_reference(ph.cd, ph.p, rr, opts);
-      expect_identical(inc, ref,
-                       "fuzz seed " + std::to_string(seed) + " step " +
-                           std::to_string(step));
-      std::string why;
-      EXPECT_TRUE(validate_routing(ph.cd, ph.p, rr, inc, &why)) << why;
-    }
-  }
-}
-
 TEST(PathFinderStarvation, ExtremePresFacReportsOveruseHonestly) {
   // Regression for the seed's absolute-epsilon stale-entry check
   // (DESIGN.md §5g): at pres_fac ~1e16 the A* priority `cost + est`
@@ -501,123 +414,6 @@ TEST(PathFinderStarvation, ExtremePresFacReportsOveruseHonestly) {
   EXPECT_GT(r.overused_nodes, 0);
   std::string why;
   EXPECT_TRUE(validate_routing(cd, p, rr, r, &why)) << why;
-  // The fix lives in the reference router too (identity over divergence).
-  expect_identical(r, route_nets_reference(cd, p, rr, opts), "starvation");
-}
-
-TEST(PathFinderNetCache, SharedGeometryAcrossDifferentCyclesHitsTheCache) {
-  // Cycle 1 repeats one of cycle 0's net geometries next to a brand-new
-  // net: the whole-cycle signatures differ (no cycle replay), but the
-  // repeated net's congestion-clean search is served by the per-net
-  // geometric cache — with the result still byte-identical to the seed
-  // router, which has no such cache.
-  std::vector<PlacedNet> nets;
-  nets.push_back(net(0, 0, 0, {5}));
-  nets.push_back(net(1, 0, 1, {6}));
-  nets.push_back(net(2, 1, 0, {5}));  // geometry of net 0, next cycle
-  nets.push_back(net(3, 1, 2, {7}));
-  ClusteredDesign cd = synthetic(8, 2, std::move(nets));
-  Placement p = row_placement(8, 8);
-  ArchParams arch = ArchParams::paper_instance();
-  RrGraph rr(p.grid, arch);
-  RoutingResult r = route_design(cd, p, rr);
-  EXPECT_TRUE(r.success);
-  EXPECT_EQ(r.reuse.cycles_reused, 0);
-  EXPECT_GE(r.reuse.net_cache_hits, 1);
-  expect_identical(r, route_nets_reference(cd, p, rr, {}), "net cache");
-  std::string why;
-  EXPECT_TRUE(validate_routing(cd, p, rr, r, &why)) << why;
-}
-
-TEST(PathFinderNetCache, CarriesAcrossCallsToCompatSiblingGraphs) {
-  // A shared RouteState donates per-net routes to a later call on a
-  // *different, widened* graph instance: the cycle cache cannot match
-  // (entries are uid-keyed), but net geometry + the graphs' compatibility
-  // signature can — admission re-checks the read-set against the live
-  // (wider) capacities, so the replay stays provably identical.
-  ArchParams arch = ArchParams::paper_instance();
-  std::vector<PlacedNet> nets;
-  nets.push_back(net(0, 0, 0, {5}));
-  nets.push_back(net(1, 0, 1, {6}));
-  ClusteredDesign cd = synthetic(8, 1, std::move(nets));
-  Placement p = row_placement(8, 8);
-  RouteState state;
-  RrGraph rr1(p.grid, arch);
-  RoutingResult r1 = route_design(cd, p, rr1, {}, nullptr, &state);
-  EXPECT_TRUE(r1.success);
-  EXPECT_EQ(r1.reuse.net_cache_hits, 0);
-  EXPECT_GT(state.net_size(), 0u);
-
-  ArchParams wider = arch;
-  wider.len1_tracks += 2;
-  wider.global_tracks += 1;
-  RrGraph rr2(p.grid, wider);
-  EXPECT_EQ(rr1.compat_sig(), rr2.compat_sig());
-  EXPECT_NE(rr1.uid(), rr2.uid());
-  RoutingResult r2 = route_design(cd, p, rr2, {}, nullptr, &state);
-  EXPECT_TRUE(r2.success);
-  EXPECT_EQ(r2.reuse.cycles_reused, 0);
-  EXPECT_GE(r2.reuse.net_cache_hits, 1);
-  expect_identical(r2, route_nets_reference(cd, p, rr2, {}), "widened");
-
-  // A sibling with different delays is NOT compatible: no false sharing.
-  ArchParams slower = arch;
-  slower.len1_wire_delay_ps *= 2.0;
-  RrGraph rr3(p.grid, slower);
-  EXPECT_NE(rr1.compat_sig(), rr3.compat_sig());
-  RoutingResult r3 = route_design(cd, p, rr3, {}, nullptr, &state);
-  EXPECT_EQ(r3.reuse.net_cache_hits, 0);
-  expect_identical(r3, route_nets_reference(cd, p, rr3, {}), "slower");
-}
-
-TEST(PathFinderNetCache, DefectMaskChangeInvalidatesCompatSharing) {
-  // Editing the fabric's defect map is an arch edit: a graph built with
-  // masked wire capacity must never serve cached routes recorded on the
-  // clean fabric (a replayed route could run straight through a broken
-  // track), and two graphs with the *same* defect spec remain compatible
-  // siblings. The defect content signature is folded into compat_sig, so
-  // the per-net geometric cache partitions correctly on its own.
-  ArchParams arch = ArchParams::paper_instance();
-  std::vector<PlacedNet> nets;
-  nets.push_back(net(0, 0, 0, {5}));
-  nets.push_back(net(1, 0, 1, {6}));
-  ClusteredDesign cd = synthetic(8, 1, std::move(nets));
-  Placement p = row_placement(8, 8);
-  RouteState state;
-  RrGraph clean(p.grid, arch);
-  RoutingResult r1 = route_design(cd, p, clean, {}, nullptr, &state);
-  ASSERT_TRUE(r1.success);
-  EXPECT_GT(state.net_size(), 0u);
-
-  ArchParams broken = arch;
-  broken.defects = parse_defect_rates("seed=5,wire=0.15");
-  RrGraph rr_broken(p.grid, broken);
-  EXPECT_NE(clean.compat_sig(), rr_broken.compat_sig());
-  RoutingResult r2 = route_design(cd, p, rr_broken, {}, nullptr, &state);
-  ASSERT_TRUE(r2.success);
-  EXPECT_EQ(r2.reuse.net_cache_hits, 0)
-      << "routes recorded on the clean fabric leaked onto a broken one";
-  expect_identical(r2, route_nets_reference(cd, p, rr_broken, {}), "broken");
-
-  // Same defect spec on a fresh graph instance: compatible sibling, and
-  // the routes recorded on rr_broken replay.
-  RrGraph rr_same(p.grid, broken);
-  EXPECT_EQ(rr_broken.compat_sig(), rr_same.compat_sig());
-  EXPECT_NE(rr_broken.uid(), rr_same.uid());
-  RoutingResult r3 = route_design(cd, p, rr_same, {}, nullptr, &state);
-  ASSERT_TRUE(r3.success);
-  EXPECT_GE(r3.reuse.net_cache_hits, 1);
-  expect_identical(r3, route_nets_reference(cd, p, rr_same, {}), "sibling");
-
-  // A different defect seed is a different fabric: no sharing either way.
-  ArchParams reseeded = arch;
-  reseeded.defects = parse_defect_rates("seed=6,wire=0.15");
-  RrGraph rr_reseeded(p.grid, reseeded);
-  EXPECT_NE(rr_broken.compat_sig(), rr_reseeded.compat_sig());
-  RoutingResult r4 = route_design(cd, p, rr_reseeded, {}, nullptr, &state);
-  EXPECT_EQ(r4.reuse.net_cache_hits, 0);
-  expect_identical(r4, route_nets_reference(cd, p, rr_reseeded, {}),
-                   "reseeded");
 }
 
 TEST(PathFinder, UsageCountsByType) {
